@@ -1,19 +1,18 @@
-//! Plan caching: the LRU map behind [`crate::session::Session`] and the
-//! sharded, lock-guarded variant behind [`crate::executor::Executor`].
+//! Plan caching: the lock-guarded LRU map behind
+//! [`crate::executor::Executor`] (and so behind every
+//! [`crate::session::Session`] and [`crate::serve::CollectiveService`]).
 //!
 //! Plan generation (model evaluation, Auto-Gen DP, routing-script
 //! construction) is the expensive half of serving a collective request, so
-//! both execution front-ends amortise it through a cache keyed by the full
-//! [`CollectiveRequest`]. The single-threaded [`PlanCache`] is a plain LRU
-//! map; [`SharedPlanCache`] splits the key space over [`SHARD_COUNT`]
-//! independently locked shards (selected by the request's hash) so
-//! concurrent service traffic on *distinct* requests does not serialize on
-//! one lock. Cached plans are handed out as [`Arc<ResolvedPlan>`], so a
-//! cache hit never copies plan bytes and a shard lock is held only for the
-//! map lookup — plan *generation* happens outside any critical section.
+//! the execution core amortises it through a cache keyed by the full
+//! [`CollectiveRequest`]. [`PlanCache`] is a plain LRU map; [`SharedPlanCache`]
+//! guards one behind a single mutex. Cached plans are handed out as
+//! [`Arc<ResolvedPlan>`], so a cache hit never copies plan bytes and the lock
+//! is held only for the map lookup — plan *generation* happens outside it.
+//! A lookup costs well under the engine run it precedes, so one lock does
+//! not serialize concurrent workers in any measurable way.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 use wse_model::Machine;
@@ -71,10 +70,6 @@ impl PlanCache {
     pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// What a [`SharedPlanCache::resolve`] call had to do.
@@ -86,42 +81,20 @@ pub(crate) struct ResolveOutcome {
     pub evictions: u64,
 }
 
-/// Number of independently locked shards of a [`SharedPlanCache`]. A small
-/// power of two: enough to spread a serving mix of a few dozen distinct
-/// request shapes over distinct locks, small enough that per-shard LRU
-/// capacities stay meaningful.
-pub(crate) const SHARD_COUNT: usize = 8;
-
-/// A thread-safe plan cache shared by the workers of an executor, sharded
-/// by request hash.
+/// A thread-safe plan cache: one [`PlanCache`] behind one mutex.
 ///
-/// Each shard is its own `Mutex<PlanCache>`; a request maps to a shard by
-/// its hash, so concurrent resolutions of distinct requests usually touch
-/// distinct locks and do not serialize. A shard's mutex guards only its LRU
-/// map; the expensive [`CollectiveRequest::resolve`] call runs outside any
-/// lock. Two workers racing on the same *previously unseen* request may
-/// therefore both generate the plan — plan generation is deterministic, so
-/// either copy is correct and the second insert simply refreshes the entry.
-/// That trade keeps distinct requests fully parallel, which matters far
-/// more for serving throughput than the rare duplicated generation.
-///
-/// The configured capacity is split evenly over the shards
-/// (`ceil(capacity / SHARD_COUNT)`, at least 1 per shard), so the total
-/// number of cached plans is bounded by `capacity` rounded up to shard
-/// granularity.
-#[derive(Debug)]
+/// The mutex guards only the LRU map; the expensive
+/// [`CollectiveRequest::resolve`] call runs outside it. Two workers racing on
+/// the same *previously unseen* request may therefore both generate the
+/// plan — plan generation is deterministic, so either copy is correct and
+/// the second insert simply refreshes the entry.
+#[derive(Debug, Default)]
 pub(crate) struct SharedPlanCache {
-    shards: [Mutex<PlanCache>; SHARD_COUNT],
-}
-
-impl Default for SharedPlanCache {
-    fn default() -> Self {
-        SharedPlanCache { shards: std::array::from_fn(|_| Mutex::new(PlanCache::default())) }
-    }
+    inner: Mutex<PlanCache>,
 }
 
 impl SharedPlanCache {
-    /// Resolve `request` through its shard, generating (outside any lock)
+    /// Resolve `request` through the cache, generating (outside the lock)
     /// on a miss.
     pub(crate) fn resolve(
         &self,
@@ -129,13 +102,11 @@ impl SharedPlanCache {
         machine: &Machine,
         capacity: usize,
     ) -> Result<(Arc<ResolvedPlan>, ResolveOutcome), CollectiveError> {
-        let shard = self.shard_for(request);
-        if let Some(cached) = self.lock(shard).get(request) {
+        if let Some(cached) = self.lock().get(request) {
             return Ok((cached, ResolveOutcome { hit: true, evictions: 0 }));
         }
         let resolved = Arc::new(request.resolve(machine)?);
-        let per_shard = capacity.div_ceil(SHARD_COUNT).max(1);
-        let evictions = self.lock(shard).insert(*request, Arc::clone(&resolved), per_shard);
+        let evictions = self.lock().insert(*request, Arc::clone(&resolved), capacity);
         Ok((resolved, ResolveOutcome { hit: false, evictions }))
     }
 
@@ -146,35 +117,24 @@ impl SharedPlanCache {
     /// wants a warm plan's recorded model choice when one exists, but must
     /// never pay for plan generation itself.
     pub(crate) fn peek(&self, request: &CollectiveRequest) -> Option<Arc<ResolvedPlan>> {
-        let shard = self.shard_for(request);
-        let guard = self.lock(shard);
-        guard.entries.get(request).map(|(plan, _)| Arc::clone(plan))
+        self.lock().entries.get(request).map(|(plan, _)| Arc::clone(plan))
     }
 
-    /// Number of plans currently cached across all shards.
+    /// Number of plans currently cached.
     pub(crate) fn len(&self) -> usize {
-        (0..SHARD_COUNT).map(|shard| self.lock(shard).len()).sum()
+        self.lock().len()
     }
 
     /// Drop every cached plan.
     pub(crate) fn clear(&self) {
-        for shard in 0..SHARD_COUNT {
-            self.lock(shard).clear();
-        }
+        self.lock().entries.clear();
     }
 
-    /// The shard a request's plan lives in.
-    fn shard_for(&self, request: &CollectiveRequest) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        request.hash(&mut hasher);
-        hasher.finish() as usize % SHARD_COUNT
-    }
-
-    fn lock(&self, shard: usize) -> std::sync::MutexGuard<'_, PlanCache> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PlanCache> {
         // The cache never panics while mutating (insert/get are infallible
         // map operations), so a poisoned lock can only mean a *caller*
         // panicked elsewhere while holding it; the data is still consistent.
-        self.shards[shard].lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
@@ -201,35 +161,22 @@ mod tests {
 
     #[test]
     fn shared_cache_respects_capacity() {
-        // The shared cache splits its capacity over SHARD_COUNT shards, so
-        // the exact resident set depends on how requests hash — the bound is
-        // `per-shard capacity × shards`, and every insert beyond a full
-        // shard evicts.
+        // One LRU map: the capacity is exact, and every insert beyond it
+        // evicts exactly one entry.
         let cache = SharedPlanCache::default();
         let machine = Machine::wse2();
         let capacity = 3usize;
-        let per_shard = capacity.div_ceil(SHARD_COUNT).max(1);
-        let distinct = 3 * SHARD_COUNT as u32;
+        let distinct = 24u32;
         let mut evictions = 0;
         for p in 2..2 + distinct {
             let (_, outcome) = cache.resolve(&request(p), &machine, capacity).unwrap();
             evictions += outcome.evictions;
+            assert!(cache.len() <= capacity);
         }
-        assert!(cache.len() <= per_shard * SHARD_COUNT);
-        assert_eq!(cache.len() as u64 + evictions, distinct as u64, "every insert is accounted");
-        assert!(evictions > 0, "inserting far beyond capacity must evict");
+        assert_eq!(cache.len(), capacity);
+        assert_eq!(evictions, (distinct as usize - capacity) as u64, "every insert is accounted");
         cache.clear();
         assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn shared_cache_spreads_requests_over_shards() {
-        // A serving mix of distinct shapes must not all land in one shard
-        // (that would reintroduce the single global lock).
-        let cache = SharedPlanCache::default();
-        let shards: std::collections::HashSet<usize> =
-            (2..34).map(|p| cache.shard_for(&request(p))).collect();
-        assert!(shards.len() > SHARD_COUNT / 2, "32 requests hit only {} shards", shards.len());
     }
 
     #[test]
@@ -258,9 +205,9 @@ mod tests {
         let (resolved, _) = cache.resolve(&request(8), &machine, 4).unwrap();
         let peeked = cache.peek(&request(8)).expect("warm peek hits");
         assert!(Arc::ptr_eq(&resolved, &peeked));
-        let tick_before = cache.lock(cache.shard_for(&request(8))).tick;
+        let tick_before = cache.lock().tick;
         cache.peek(&request(8));
-        let tick_after = cache.lock(cache.shard_for(&request(8))).tick;
+        let tick_after = cache.lock().tick;
         assert_eq!(tick_before, tick_after, "peeks are not LRU uses");
     }
 

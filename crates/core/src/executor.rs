@@ -1,34 +1,36 @@
-//! Parallel batch execution of independent collective requests.
+//! The execution core: every collective run in this crate goes through an
+//! [`Executor`].
 //!
-//! A [`crate::session::Session`] amortises plan generation and fabric
-//! construction but executes strictly serially: one mutable session, one
-//! collective in flight. Serving-scale traffic is dominated by *independent*
-//! requests, and the simulator parallelises trivially across them — so the
-//! [`Executor`] turns the session's serving path concurrent:
+//! The paper's workflow is *model → select → generate → run* (§1.3, §10).
+//! The executor implements it once, for all three front-ends — the
+//! sequential [`crate::session::Session`] (a one-worker executor), parallel
+//! batches ([`Executor::run_batch`]) and the serving loop of
+//! [`crate::serve::CollectiveService`] ([`Executor::run_stamped`]):
 //!
-//! * requests resolve through a **shared, lock-guarded plan cache**
-//!   ([`crate::cache::SharedPlanCache`]); plans are `Arc`ed, so a cache hit
-//!   is clone-free and the lock is held only for the map lookup,
-//! * execution happens on a **fabric pool**: reset [`Fabric`]s per grid
-//!   shape, checked out by worker threads and returned (reset again) after
-//!   each run — the mesh for a hot shape is allocated once, not per run,
+//! * requests resolve through **one lock-guarded LRU plan cache**; plans
+//!   are `Arc`ed, so a cache hit is clone-free and the lock is held only for
+//!   the map lookup,
+//! * execution happens on a **fabric pool**: [`Fabric`]s per grid shape,
+//!   checked out (and reset) by worker threads and returned after each
+//!   run — the mesh for a hot shape is allocated once, not per run,
 //! * workers are plain scoped threads ([`std::thread::scope`]); no external
 //!   runtime or channel crate is involved.
 //!
 //! ## Determinism
 //!
-//! Parallelism must not change results. A batch runs in two phases: every
-//! item is first resolved and validated (in parallel), then noise-run
-//! indices are assigned **only to the items that will actually execute** —
-//! the `k`-th valid item of the batch gets index `base + k`, where `base` is
-//! the executor's run counter (advanced by the number of valid items). The
+//! Parallelism must not change results. Every run executes under a
+//! noise-run index, and there is one rule for handing them out: an item
+//! gets an index only if [`CollectiveRequest::check_submission`] accepts
+//! it, and indices follow the order items enter execution. A batch
+//! ([`Executor::run_batch`]) claims one contiguous block for its accepted
+//! items — the `k`-th accepted item gets `base + k` — before any of them
+//! runs; the serving loop claims indices one at a time as it admits items
+//! ([`Executor::reserve_run_index`]) and executes them stamped. The
 //! thermal-noise realization each item sees is therefore a pure function of
 //! its *position among executed runs*, never of thread scheduling, and a
-//! rejected item consumes no run index — exactly like a
-//! [`crate::session::Session`], whose statistics (and run counter) a
-//! rejected call leaves untouched. A fresh executor thus produces
-//! byte-identical outcomes — outputs *and* [`wse_fabric::RunReport`]s — to a
-//! fresh session running the same batch in order, *including* batches
+//! rejected item consumes no run index. A fresh executor thus produces
+//! byte-identical outcomes — outputs *and* [`wse_fabric::RunReport`]s — to
+//! a fresh session running the same batch in order, *including* batches
 //! containing rejected items.
 
 use std::collections::HashMap;
@@ -122,8 +124,8 @@ impl ExecutorConfig {
     }
 }
 
-/// Counters describing how much work an executor amortised. Mirrors
-/// [`crate::session::SessionStats`] plus the batch count.
+/// Counters describing how much work an executor amortised — also what
+/// [`crate::session::Session::stats`] reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecutorStats {
     /// Requests answered from the shared plan cache.
@@ -140,7 +142,8 @@ pub struct ExecutorStats {
     pub fabrics_created: u64,
     /// Cold grid shapes reclaimed from the fabric pool (LRU eviction).
     pub pool_shape_evictions: u64,
-    /// Batches executed.
+    /// Batches executed (every [`crate::session::Session::run`] call is a
+    /// batch of one).
     pub batches: u64,
     /// How well the cost model's predictions track measured runtimes, over
     /// the runs that carried a prediction stamp ([`Executor::run_stamped`]).
@@ -152,8 +155,10 @@ pub struct ExecutorStats {
 ///
 /// Fed by [`Executor::run_stamped`] from each run's measured
 /// [`wse_fabric::RunReport`] cycles against the prediction stamped at
-/// admission. An executor that never runs stamped work (admission disabled)
-/// reports zero samples.
+/// admission. Every [`crate::serve::CollectiveService`] prices its valid
+/// requests at submit, so a service's executor feeds it whatever its
+/// admission policy; sessions and plain batches carry no predictions and
+/// report zero samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PredictionSummary {
     /// Stamped runs accounted so far.
@@ -256,12 +261,13 @@ struct ShapeEntry {
     last_used: u64,
 }
 
-/// A pool of idle, reset fabrics keyed by grid shape.
+/// A pool of idle fabrics keyed by grid shape.
 ///
-/// Invariant: every fabric in the pool is in its post-[`Fabric::reset`]
-/// state (no programs, scripts, noise, or counters), so a checkout is
-/// immediately installable — the reset cost is paid at check-in, off the
-/// critical path of the *next* request for that shape.
+/// A pooled fabric still holds its last run; checkout [`Fabric::reset`]s it,
+/// so every checkout is immediately installable. Resetting right before the
+/// run, rather than at check-in, also leaves the mesh warm in the CPU
+/// caches when the run starts — which matters when traffic cycles through
+/// several large shapes.
 ///
 /// Memory is bounded along two axes: at most `max_per_shape` idle fabrics
 /// per shape (excess check-ins are dropped), and at most `max_shapes` shapes
@@ -300,20 +306,22 @@ impl FabricPool {
             }
         };
         match pooled {
-            Some(fabric) => (fabric, true),
+            Some(mut fabric) => {
+                fabric.reset();
+                (fabric, true)
+            }
             None => (Fabric::new(dim, params), false),
         }
     }
 
-    /// Reset a fabric and return it to the pool (or drop it if the shape's
-    /// idle list is already at `max_per_shape`). If pooling it pushes the
-    /// number of shapes past `max_shapes`, least-recently-used shapes are
-    /// reclaimed wholesale; the number of shapes evicted is returned.
-    fn check_in(&self, mut fabric: Fabric, max_per_shape: usize, max_shapes: usize) -> u64 {
+    /// Return a fabric to the pool (or drop it if the shape's idle list is
+    /// already at `max_per_shape`). If pooling it pushes the number of shapes
+    /// past `max_shapes`, least-recently-used shapes are reclaimed wholesale;
+    /// the number of shapes evicted is returned.
+    fn check_in(&self, fabric: Fabric, max_per_shape: usize, max_shapes: usize) -> u64 {
         if max_per_shape == 0 || max_shapes == 0 {
             return 0;
         }
-        fabric.reset();
         let dim = fabric.dim();
         let mut state = self.lock();
         state.tick += 1;
@@ -352,8 +360,7 @@ impl FabricPool {
     }
 }
 
-/// A thread-safe batch executor: the concurrent counterpart of
-/// [`crate::session::Session`].
+/// The thread-safe execution core behind every front-end of this crate.
 ///
 /// All methods take `&self`; an `Executor` can be shared across threads
 /// (e.g. behind an `Arc`) and keeps amortising across batches — the plan
@@ -387,6 +394,15 @@ pub struct Executor {
     stats: AtomicStats,
     prediction: Mutex<PredictionState>,
     run_counter: AtomicU64,
+}
+
+/// One item on its way through [`Executor::run_jobs`], borrowed from the
+/// caller's batch (inputs are never cloned).
+struct Job<'a> {
+    request: &'a CollectiveRequest,
+    inputs: &'a [Vec<f32>],
+    run_index: u64,
+    predicted_cycles: Option<u64>,
 }
 
 impl Default for Executor {
@@ -453,6 +469,11 @@ impl Executor {
     }
 
     /// Resolve a request into an executable plan through the shared cache.
+    ///
+    /// The first resolution of a distinct request generates the plan
+    /// (`plan_misses`); later resolutions return the cached plan unchanged
+    /// (`plan_hits`). The returned [`Arc`] stays valid even if the entry is
+    /// later evicted.
     pub fn plan(&self, request: &CollectiveRequest) -> Result<Arc<ResolvedPlan>, CollectiveError> {
         let (plan, outcome) = self.cache.resolve(
             request,
@@ -480,11 +501,12 @@ impl Executor {
         self.cache.peek(request)
     }
 
-    /// Claim the next noise-run index. The admission-controlled serving path
-    /// stamps each *valid* item as it is admitted (then executes it via
-    /// [`Executor::run_stamped`]); [`Executor::run_batch`] claims indices
-    /// from the same counter, so the two entry points can share an executor
-    /// without replaying noise streams.
+    /// Claim the next noise-run index. The serving loop stamps each item
+    /// [`CollectiveRequest::check_submission`] accepts as it is admitted
+    /// (then executes it via [`Executor::run_stamped`]);
+    /// [`Executor::run_batch`] claims indices from the same counter, so the
+    /// two entry points can share an executor without replaying noise
+    /// streams.
     pub fn reserve_run_index(&self) -> u64 {
         self.run_counter.fetch_add(1, Ordering::Relaxed)
     }
@@ -499,24 +521,16 @@ impl Executor {
     /// realization an item sees. Successful runs with a stamped prediction
     /// feed [`ExecutorStats::prediction`].
     pub fn run_stamped(&self, batch: &[StampedItem]) -> Vec<Result<RunOutcome, CollectiveError>> {
-        let n = batch.len();
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let workers = self.worker_count(n);
-        let prepared = parallel_map(n, workers, |i| self.prepare(&batch[i].item));
-        let results = parallel_map(n, workers, |i| match &prepared[i] {
-            Ok(resolved) => self.execute_one(resolved, &batch[i].item.inputs, batch[i].run_index),
-            Err(error) => Err(error.clone()),
-        });
-        for (stamped, result) in batch.iter().zip(&results) {
-            if let (Some(predicted), Ok(outcome)) = (stamped.predicted_cycles, result) {
-                self.lock_prediction().record(predicted, outcome.runtime_cycles());
-            }
-        }
-        results
-    }
-
-    fn lock_prediction(&self) -> std::sync::MutexGuard<'_, PredictionState> {
-        self.prediction.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+        let jobs: Vec<Job> = batch
+            .iter()
+            .map(|stamped| Job {
+                request: &stamped.item.request,
+                inputs: &stamped.item.inputs,
+                run_index: stamped.run_index,
+                predicted_cycles: stamped.predicted_cycles,
+            })
+            .collect();
+        self.run_jobs(&jobs)
     }
 
     /// Execute a batch of independent requests in parallel, returning one
@@ -530,40 +544,56 @@ impl Executor {
     /// byte-identical to a sequential [`crate::session::Session`] (see the
     /// module docs).
     pub fn run_batch(&self, batch: &[BatchItem]) -> Vec<Result<RunOutcome, CollectiveError>> {
-        let n = batch.len();
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let workers = self.worker_count(n);
-        // Phase 1: resolve plans (through the shared cache) and validate
-        // inputs, so we know which items will execute before any run index
-        // is handed out.
-        let prepared = parallel_map(n, workers, |i| self.prepare(&batch[i]));
-        // Run indices go to valid items only, in batch order: the k-th item
-        // that executes gets `base + k`, matching a session whose counter a
-        // rejected call leaves untouched.
-        let valid = prepared.iter().filter(|r| r.is_ok()).count() as u64;
-        let base = self.run_counter.fetch_add(valid, Ordering::Relaxed);
-        let mut rank = 0u64;
-        let run_indices: Vec<u64> = prepared
-            .iter()
-            .map(|r| {
-                let index = base + rank;
-                rank += u64::from(r.is_ok());
-                index
-            })
-            .collect();
-        // Phase 2: execute the valid items.
-        parallel_map(n, workers, |i| match &prepared[i] {
-            Ok(resolved) => self.execute_one(resolved, &batch[i].inputs, run_indices[i]),
-            Err(error) => Err(error.clone()),
-        })
+        let items: Vec<(&CollectiveRequest, &[Vec<f32>])> =
+            batch.iter().map(|item| (&item.request, item.inputs.as_slice())).collect();
+        self.run_in_order(&items)
     }
 
-    /// Resolve an item's plan through the shared cache and validate its
-    /// inputs against it, without executing anything.
-    fn prepare(&self, item: &BatchItem) -> Result<Arc<ResolvedPlan>, CollectiveError> {
-        let resolved = self.plan(&item.request)?;
-        check_inputs(&resolved.plan, &item.inputs)?;
-        Ok(resolved)
+    /// Run borrowed items in order under one contiguous block of noise-run
+    /// indices: the `k`-th item [`CollectiveRequest::check_submission`]
+    /// accepts runs under `base + k`, and rejected items claim none.
+    pub(crate) fn run_in_order(
+        &self,
+        items: &[(&CollectiveRequest, &[Vec<f32>])],
+    ) -> Vec<Result<RunOutcome, CollectiveError>> {
+        let accepted: Vec<bool> = items
+            .iter()
+            .map(|(request, inputs)| request.check_submission(inputs).is_ok())
+            .collect();
+        let claimed = accepted.iter().filter(|&&ok| ok).count() as u64;
+        let mut next = self.run_counter.fetch_add(claimed, Ordering::Relaxed);
+        let jobs: Vec<Job> = items
+            .iter()
+            .zip(accepted)
+            .map(|(&(request, inputs), ok)| {
+                let run_index = next;
+                next += u64::from(ok);
+                Job { request, inputs, run_index, predicted_cycles: None }
+            })
+            .collect();
+        self.run_jobs(&jobs)
+    }
+
+    /// The one execution routine: resolve, validate and run every job on
+    /// the worker pool, then account the stamped predictions.
+    fn run_jobs(&self, jobs: &[Job]) -> Vec<Result<RunOutcome, CollectiveError>> {
+        self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        let results = parallel_map(jobs.len(), self.worker_count(jobs.len()), |i| {
+            let job = &jobs[i];
+            let resolved = self.plan(job.request)?;
+            check_inputs(&resolved.plan, job.inputs)?;
+            self.execute_one(&resolved, job.inputs, job.run_index)
+        });
+        for (job, result) in jobs.iter().zip(&results) {
+            if let (Some(predicted), Ok(outcome)) = (job.predicted_cycles, result) {
+                self.lock_prediction().record(predicted, outcome.runtime_cycles());
+            }
+        }
+        results
+    }
+
+    fn lock_prediction(&self) -> std::sync::MutexGuard<'_, PredictionState> {
+        self.prediction.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Execute an already-validated item with an explicit noise-run index.

@@ -16,19 +16,23 @@
 //!   [`Topology::Grid`], with a vector length, a [`ReduceOp`] and a
 //!   [`Schedule`] that is either an explicit pattern or [`Schedule::Auto`]
 //!   model-driven selection;
-//! * a [`Session`] resolves requests into executable [`CollectivePlan`]s
-//!   through an LRU **plan cache** and executes them on a reused,
-//!   resettable fabric — generate once, run many times;
-//! * an [`Executor`] serves a **batch** of independent requests in
-//!   parallel: worker threads share the plan cache (sharded by request
-//!   hash, `Arc`ed plans) and check fabrics out of a per-shape **pool**,
-//!   with results byte-identical to the sequential session (see
+//! * an [`Executor`] is the one **execution core**: requests resolve into
+//!   executable [`CollectivePlan`]s through an LRU **plan cache** (`Arc`ed
+//!   plans behind one lock) and run on reset fabrics checked out of a
+//!   per-shape **pool**, by parallel workers for a **batch** of
+//!   independent requests, with one noise-run index rule (see
 //!   [`executor`]);
+//! * a [`Session`] is the sequential face of that core: a one-worker
+//!   executor behind `&mut self` — generate once, run many times;
 //! * a [`CollectiveService`] is the **serving loop** on top: a bounded
-//!   submission queue accepting requests continuously, a batcher thread
-//!   forming batches by deadline or size, completion handles
-//!   ([`ResponseHandle`]) with per-request latency, backpressure and
-//!   graceful draining shutdown (see [`serve`]).
+//!   submission queue accepting requests continuously, model-priced
+//!   admission, a batcher thread forming batches by deadline, size or
+//!   predicted cost, completion handles ([`ResponseHandle`]) with
+//!   per-request latency, backpressure and graceful draining shutdown (see
+//!   [`serve`]).
+//!
+//! Sessions, batches and services run the same code, so their results are
+//! byte-identical for the same requests in the same execution order.
 //!
 //! ## Quickstart
 //!
@@ -79,8 +83,7 @@
 //! * **2D collectives** — the 2D flooding broadcast (§7.1), X-Y Reduce
 //!   (§7.2), Snake Reduce (§7.3) and 2D AllReduce (§7.4).
 //! * **Model-driven selection** — [`Schedule::Auto`] resolves through the
-//!   performance model's structured [`wse_model::Choice`]; the legacy
-//!   free-function interface survives in [`select`] as thin shims.
+//!   performance model's structured [`wse_model::Choice`].
 //! * **Measurement methodology** — the clock-synchronised, calibrated timing
 //!   procedure of §8.3, run against simulated clock skew and thermal noise
 //!   ([`measured`]).
@@ -103,7 +106,6 @@ pub mod plan;
 pub mod reduce;
 pub mod request;
 pub mod runner;
-pub mod select;
 pub mod serve;
 pub mod session;
 pub mod tree_plan;
@@ -129,14 +131,11 @@ pub use request::{CollectiveKind, CollectiveRequest, ResolvedPlan, Schedule, Ten
 pub use runner::{
     assert_outputs_close, expected_reduce, max_relative_error, run_plan, RunConfig, RunOutcome,
 };
-pub use select::{
-    select_allreduce_1d, select_allreduce_2d, select_reduce_1d, select_reduce_2d, SelectedPlan,
-};
 pub use serve::{
     AdmissionConfig, AdmissionInfo, AdmissionOutcome, BatchOrder, CollectiveService, FlushReason,
     LatencySummary, Response, ResponseHandle, ServiceConfig, ServiceStats, TenantBudget,
 };
-pub use session::{Session, SessionConfig, SessionStats};
+pub use session::{Session, SessionConfig};
 pub use wse_fabric::EngineKind;
 
 /// Convenience re-exports for applications.
@@ -160,14 +159,11 @@ pub mod prelude {
     pub use crate::runner::{
         assert_outputs_close, expected_reduce, run_plan, RunConfig, RunOutcome,
     };
-    pub use crate::select::{
-        select_allreduce_1d, select_allreduce_2d, select_reduce_1d, select_reduce_2d,
-    };
     pub use crate::serve::{
         AdmissionConfig, AdmissionInfo, AdmissionOutcome, BatchOrder, CollectiveService,
         LatencySummary, Response, ResponseHandle, ServiceConfig, ServiceStats, TenantBudget,
     };
-    pub use crate::session::{Session, SessionConfig, SessionStats};
+    pub use crate::session::{Session, SessionConfig};
     pub use wse_fabric::geometry::{Coord, GridDim};
     pub use wse_fabric::program::ReduceOp;
     pub use wse_fabric::EngineKind;

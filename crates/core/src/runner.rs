@@ -57,8 +57,8 @@ impl RunOutcome {
 /// input shape contract ([`CollectivePlan::input_specs`] — the full
 /// [`CollectivePlan::vector_len`] for most collectives, one chunk for
 /// sharded inputs). Sessions
-/// ([`crate::session::Session::run`]) execute the same way but reuse one
-/// resettable fabric per grid instead of allocating a new mesh per call.
+/// ([`crate::session::Session::run`]) execute the same way but reuse pooled,
+/// resettable fabrics instead of allocating a new mesh per call.
 pub fn run_plan(
     plan: &CollectivePlan,
     inputs: &[Vec<f32>],
@@ -101,9 +101,9 @@ pub(crate) fn check_inputs(
 /// plan's dimensions and run it to completion.
 ///
 /// Callers must have validated `inputs` with [`check_inputs`] first; both
-/// entry points ([`run_plan`] and `Session::run_resolved`) do so before
-/// touching a fabric, which also keeps the hot session path to one
-/// validation pass per run.
+/// entry points ([`run_plan`] and the executor core behind every session and
+/// service) do so before touching a fabric, which also keeps the hot path to
+/// one validation pass per run.
 pub(crate) fn execute_on(
     fabric: &mut Fabric,
     plan: &CollectivePlan,

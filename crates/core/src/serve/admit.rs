@@ -37,7 +37,7 @@
 //! proptests pin that an SJF-ordered service produces, per request, exactly
 //! the bytes a sequential [`crate::session::Session`] produces in admission
 //! order — and that a service with [`AdmissionConfig::disabled`] (the
-//! default) stays byte-identical to the plain PR 6 serving path.
+//! default) produces them in submission order.
 //!
 //! ## Honest limitations
 //!
@@ -53,7 +53,9 @@
 //!   outright; it is admitted when the bucket is *full* and drives the level
 //!   negative ("borrowing"), so the tenant pays for it by waiting longer
 //!   afterwards. A zero refill rate with an empty bucket defers until
-//!   shutdown (which force-drains — no accepted request is ever dropped).
+//!   shutdown (which force-drains — no accepted request is ever dropped);
+//!   so does a rate so small that the refill wait is past what an
+//!   [`Instant`] can represent.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -92,8 +94,8 @@ impl TenantBudget {
 }
 
 /// Admission-control policy of a [`crate::serve::CollectiveService`]. The
-/// default ([`AdmissionConfig::disabled`]) enforces nothing and keeps the
-/// serving path byte-identical to a service without an admission layer.
+/// default ([`AdmissionConfig::disabled`]) enforces nothing: FIFO batches,
+/// no ceiling, no cycle cut, no budgets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionConfig {
     /// Reject any request the model prices above this many cycles with
@@ -123,8 +125,8 @@ impl Default for AdmissionConfig {
 
 impl AdmissionConfig {
     /// No admission control at all: no ceiling, FIFO batches, no cycle cut,
-    /// no budgets. The service takes the plain PR 6 path — predictions are
-    /// not even computed.
+    /// no budgets. Requests are still priced at submit, which feeds
+    /// [`crate::executor::ExecutorStats::prediction`].
     pub fn disabled() -> Self {
         AdmissionConfig {
             max_predicted_cycles: None,
@@ -136,8 +138,8 @@ impl AdmissionConfig {
         }
     }
 
-    /// Whether any policy is enabled (the service only routes through the
-    /// admission layer when one is).
+    /// Whether any policy is enabled (responses carry an
+    /// [`AdmissionInfo`] only when one is).
     pub fn is_active(&self) -> bool {
         self.max_predicted_cycles.is_some()
             || self.order != BatchOrder::Fifo
@@ -392,8 +394,9 @@ impl<T> AdmissionController<T> {
 
     /// When the earliest blocked deferral becomes affordable — the wakeup
     /// deadline the batcher combines with its batch deadline. `None` when
-    /// nothing is deferred, or every blocked tenant has a zero refill rate
-    /// (only shutdown will move those).
+    /// nothing is deferred, or no blocked tenant's refill lands at a
+    /// representable instant: a zero (or negative) rate, or one so small
+    /// the wait overflows (only shutdown will move those).
     pub(crate) fn next_release_at(&self, now: Instant) -> Option<Instant> {
         let mut state = self.lock();
         let mut seen: Vec<TenantId> = Vec::new();
@@ -413,10 +416,15 @@ impl<T> AdmissionController<T> {
             refill(bucket, budget, now);
             let needed = (cost as f64).min(budget.burst_cycles as f64) - bucket.level;
             let at = if needed <= 0.0 {
-                now
-            } else if budget.refill_cycles_per_sec > 0.0 {
-                now + Duration::from_secs_f64(needed / budget.refill_cycles_per_sec)
+                Some(now)
             } else {
+                // A zero rate gives an infinite wait, which fails the
+                // conversion like any other out-of-range one.
+                Duration::try_from_secs_f64(needed / budget.refill_cycles_per_sec)
+                    .ok()
+                    .and_then(|wait| now.checked_add(wait))
+            };
+            let Some(at) = at else {
                 continue;
             };
             earliest = Some(earliest.map_or(at, |e| e.min(at)));
@@ -605,6 +613,25 @@ mod tests {
         assert_eq!(drained[0].0, 42);
         assert_eq!(drained[0].1, Duration::from_millis(10));
         assert_eq!(controller.deferred_len(), 0);
+    }
+
+    #[test]
+    fn vanishing_refill_rates_never_schedule_a_release() {
+        // Regression: 1e-300 cycles/s made the refill wait overflow
+        // `Duration`, and the panic killed the batcher thread. An
+        // unrepresentable wait now behaves like a zero rate.
+        let config = config_with_budget(T0, 1, 1e-300)
+            .with_tenant_budget(T1, TenantBudget::new(1, f64::MIN_POSITIVE));
+        let controller: AdmissionController<u32> = AdmissionController::new(&config);
+        let base = Instant::now();
+        for (tenant, item) in [(T0, 1), (T1, 2)] {
+            assert_eq!(controller.try_charge(tenant, 1, base), Charge::Admitted);
+            assert_eq!(controller.try_charge(tenant, 1, base), Charge::Defer);
+            controller.defer(tenant, 1, item, base).unwrap();
+        }
+        assert_eq!(controller.next_release_at(at(base, 1)), None);
+        assert!(controller.release_due(at(base, 1)).is_empty());
+        assert_eq!(controller.drain(at(base, 2)).len(), 2, "shutdown still drains them");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   item arrived (tail latency under light load: a lone request is never
 //!   held longer than the batch window).
 //!
-//! With an active admission policy ([`Batcher::with_policy`]) the flush is
-//! additionally *cost-aware*: items carry the predicted cycles stamped at
+//! Under a cost-aware admission policy ([`Batcher::with_policy`]) the flush
+//! is additionally *cost-aware*: items carry the predicted cycles stamped at
 //! admission, the cut can order them shortest-predicted-first
 //! ([`BatchOrder::ShortestPredictedFirst`], stable — arrival order breaks
 //! ties), and `max_batch_cycles` stops the cut when the batch's summed
@@ -43,7 +43,7 @@ pub enum FlushReason {
 #[derive(Debug)]
 struct Entry<T> {
     item: T,
-    /// Predicted cycles (0 on the plain, cost-blind path).
+    /// Predicted cycles (0 for items that will not execute).
     cost: u64,
     arrived: Instant,
 }
@@ -60,11 +60,6 @@ pub(crate) struct Batcher<T> {
 }
 
 impl<T> Batcher<T> {
-    /// A plain FIFO batcher with no cycle cap (the PR 6 behavior).
-    pub(crate) fn new(max_batch: usize, max_wait: Duration) -> Self {
-        Batcher::with_policy(max_batch, max_wait, BatchOrder::Fifo, None)
-    }
-
     /// A batcher cutting batches under an admission policy: `order` decides
     /// how a cut is ordered, `max_batch_cycles` where it stops.
     pub(crate) fn with_policy(
@@ -88,25 +83,22 @@ impl<T> Batcher<T> {
         self.entries.len()
     }
 
-    /// Accept an item arriving at `now`; returns a full batch if this item
-    /// completed one (the size trigger).
-    pub(crate) fn push(&mut self, item: T, now: Instant) -> Option<(Vec<T>, FlushReason)> {
-        self.push_costed(item, 0, now);
-        (self.entries.len() >= self.max_batch).then(|| self.cut(FlushReason::Size))
-    }
-
     /// Accept an item with its predicted cost, without flushing — the
-    /// admission-aware service loop drives flushes through
-    /// [`Batcher::flush_ready`] so a cycle-capped cut can leave a remainder.
+    /// service loop drives flushes through [`Batcher::flush_ready`] so a
+    /// cycle-capped cut can leave a remainder.
     pub(crate) fn push_costed(&mut self, item: T, cost: u64, now: Instant) {
         self.entries.push(Entry { item, cost, arrived: now });
     }
 
     /// The instant at which the current partial batch must flush: `max_wait`
     /// after its oldest item arrived. `None` while the accumulator is empty
-    /// (nothing is waiting, so there is nothing to deadline).
+    /// (nothing is waiting, so there is nothing to deadline), and when that
+    /// instant is past what an [`Instant`] can represent (a `max_wait` such
+    /// as [`Duration::MAX`] means "no deadline": only size and shutdown
+    /// flush).
     pub(crate) fn deadline(&self) -> Option<Instant> {
-        self.entries.iter().map(|entry| entry.arrived).min().map(|oldest| oldest + self.max_wait)
+        let oldest = self.entries.iter().map(|entry| entry.arrived).min()?;
+        oldest.checked_add(self.max_wait)
     }
 
     /// Cut a batch if a trigger is due at `now`: size first, then deadline.
@@ -115,14 +107,6 @@ impl<T> Batcher<T> {
         if self.entries.len() >= self.max_batch {
             return Some(self.cut(FlushReason::Size));
         }
-        match self.deadline() {
-            Some(deadline) if now >= deadline => Some(self.cut(FlushReason::Deadline)),
-            _ => None,
-        }
-    }
-
-    /// Flush the partial batch if its deadline has passed at `now`.
-    pub(crate) fn flush_due(&mut self, now: Instant) -> Option<(Vec<T>, FlushReason)> {
         match self.deadline() {
             Some(deadline) if now >= deadline => Some(self.cut(FlushReason::Deadline)),
             _ => None,
@@ -187,15 +171,22 @@ mod tests {
         base + Duration::from_millis(millis)
     }
 
+    /// The default policy: FIFO, no cycle cap.
+    fn fifo<T>(max_batch: usize) -> Batcher<T> {
+        Batcher::with_policy(max_batch, WAIT, BatchOrder::Fifo, None)
+    }
+
     /// Deterministic-clock proof of the size path: the `max_batch`-th item
     /// flushes the batch immediately, well before the deadline.
     #[test]
     fn size_trigger_flushes_a_full_batch() {
         let base = Instant::now();
-        let mut batcher = Batcher::new(3, WAIT);
-        assert!(batcher.push('a', at(base, 0)).is_none());
-        assert!(batcher.push('b', at(base, 1)).is_none());
-        let (batch, reason) = batcher.push('c', at(base, 2)).expect("third item fills the batch");
+        let mut batcher = fifo(3);
+        batcher.push_costed('a', 0, at(base, 0));
+        batcher.push_costed('b', 0, at(base, 1));
+        assert!(batcher.flush_ready(at(base, 1)).is_none());
+        batcher.push_costed('c', 0, at(base, 2));
+        let (batch, reason) = batcher.flush_ready(at(base, 2)).expect("third item fills the batch");
         assert_eq!(batch, vec!['a', 'b', 'c']);
         assert_eq!(reason, FlushReason::Size);
         assert_eq!(batcher.len(), 0);
@@ -208,29 +199,29 @@ mod tests {
     #[test]
     fn deadline_trigger_flushes_a_partial_batch_at_max_wait() {
         let base = Instant::now();
-        let mut batcher = Batcher::new(16, WAIT);
-        assert!(batcher.push(1u32, at(base, 0)).is_none());
+        let mut batcher = fifo(16);
+        batcher.push_costed(1u32, 0, at(base, 0));
         // A later item does not push the deadline out.
-        assert!(batcher.push(2u32, at(base, 7)).is_none());
+        batcher.push_costed(2u32, 0, at(base, 7));
         assert_eq!(batcher.deadline(), Some(at(base, 10)));
         // One tick early: not due yet.
-        assert!(batcher.flush_due(at(base, 9)).is_none());
+        assert!(batcher.flush_ready(at(base, 9)).is_none());
         assert_eq!(batcher.len(), 2);
         // At the deadline: the partial batch flushes.
-        let (batch, reason) = batcher.flush_due(at(base, 10)).expect("due at max_wait");
+        let (batch, reason) = batcher.flush_ready(at(base, 10)).expect("due at max_wait");
         assert_eq!(batch, vec![1, 2]);
         assert_eq!(reason, FlushReason::Deadline);
         // The next arrival opens a fresh window anchored at its own time.
-        assert!(batcher.push(3u32, at(base, 25)).is_none());
+        batcher.push_costed(3u32, 0, at(base, 25));
         assert_eq!(batcher.deadline(), Some(at(base, 35)));
     }
 
     #[test]
     fn shutdown_drains_whatever_is_accumulated() {
         let base = Instant::now();
-        let mut batcher = Batcher::new(16, WAIT);
+        let mut batcher = fifo(16);
         assert!(batcher.flush_remaining().is_none(), "nothing to drain when empty");
-        batcher.push('x', at(base, 0));
+        batcher.push_costed('x', 0, at(base, 0));
         let (batch, reason) = batcher.flush_remaining().unwrap();
         assert_eq!(batch, vec!['x']);
         assert_eq!(reason, FlushReason::Shutdown);
@@ -239,9 +230,23 @@ mod tests {
     #[test]
     fn max_batch_of_one_flushes_every_push() {
         let base = Instant::now();
-        let mut batcher = Batcher::new(1, WAIT);
-        let (batch, reason) = batcher.push(9u8, at(base, 0)).unwrap();
+        let mut batcher = fifo(1);
+        batcher.push_costed(9u8, 0, at(base, 0));
+        let (batch, reason) = batcher.flush_ready(at(base, 0)).unwrap();
         assert_eq!((batch, reason), (vec![9], FlushReason::Size));
+    }
+
+    /// Regression: `oldest + Duration::MAX` overflowed and panicked the
+    /// batcher thread. An unrepresentable deadline means "no deadline".
+    #[test]
+    fn an_overflowing_max_wait_means_no_deadline() {
+        let base = Instant::now();
+        let mut batcher = Batcher::with_policy(16, Duration::MAX, BatchOrder::Fifo, None);
+        batcher.push_costed('x', 0, at(base, 0));
+        assert_eq!(batcher.deadline(), None);
+        assert!(batcher.flush_ready(at(base, 1_000_000)).is_none(), "no deadline flush");
+        let (batch, reason) = batcher.flush_remaining().expect("shutdown still drains");
+        assert_eq!((batch, reason), (vec!['x'], FlushReason::Shutdown));
     }
 
     /// SJF cut: items leave shortest-predicted-first, arrival order breaking

@@ -23,32 +23,29 @@
 //! * [`ServiceStats`] ([`stats`]) exposes queue depth, batch formation
 //!   (count, flush reasons, size histogram) and enqueue-to-complete
 //!   latency (p50/p99/mean/max);
-//! * an optional **admission layer** ([`admit`]) prices every submission
-//!   with the paper's cost model *before* it is queued and enforces a
-//!   per-request cycle ceiling, per-tenant token-bucket budgets (deferring,
-//!   not dropping, over-budget tenants) and cost-aware batch formation
-//!   (shortest-predicted-job-first, per-batch cycle caps). The default
-//!   [`AdmissionConfig::disabled`] keeps the plain path below untouched.
+//! * the **admission layer** ([`admit`]) prices every submission with the
+//!   paper's cost model *before* it is queued and enforces the configured
+//!   policy: a per-request cycle ceiling, per-tenant token-bucket budgets
+//!   (deferring, not dropping, over-budget tenants) and cost-aware batch
+//!   formation (shortest-predicted-job-first, per-batch cycle caps). The
+//!   default [`AdmissionConfig::disabled`] is simply the FIFO policy with no
+//!   ceiling, cap or budget; the predictions still feed
+//!   [`crate::executor::ExecutorStats::prediction`].
 //!
 //! ## Determinism
 //!
-//! Batching must not change results. The batcher dispatches batches in
-//! submission order and the executor assigns noise-run indices only to
-//! items that actually execute, so the responses a service produces are
-//! byte-identical to a fresh sequential [`crate::session::Session`] running
-//! the same requests in submission order — regardless of how the traffic
-//! happened to be cut into batches, and including rejected requests (which
-//! consume no run index on either path). The integration proptests submit
-//! under randomised batch windows and verify exactly this.
-//!
-//! With an active admission policy the invariant generalises: each item's
-//! noise-run index is stamped when it enters the batch accumulator (its
-//! *admission* to execution order — deferral releases and queue pops
-//! interleave there), and [`crate::executor::Executor::run_stamped`]
-//! honours the stamp through any cost-aware reordering. Responses are then
-//! byte-identical to a sequential session running the requests in
-//! admission order, which the handles expose via
-//! [`AdmissionInfo::run_index`].
+//! Batching must not change results. Each item that will execute is
+//! stamped with its noise-run index when it enters the batch accumulator
+//! (its *admission* to execution order — deferral releases and queue pops
+//! interleave there), rejected items consume none, and
+//! [`crate::executor::Executor::run_stamped`] honours the stamp through any
+//! cost-aware reordering. Responses are therefore byte-identical to a fresh
+//! sequential [`crate::session::Session`] running the requests in admission
+//! order, which the handles expose via [`AdmissionInfo::run_index`] — and,
+//! under the default FIFO policy without budgets, admission order *is*
+//! submission order, whatever the batch windows cut. The integration
+//! proptests submit under randomised batch windows and verify exactly
+//! this.
 //!
 //! ```
 //! use std::time::Duration;
@@ -117,9 +114,9 @@ pub struct ServiceConfig {
     /// under light load.
     pub max_wait: Duration,
     /// Admission control and cost-aware scheduling policy (see [`admit`]).
-    /// The default, [`AdmissionConfig::disabled`], keeps the service on the
-    /// plain path: no predictions are computed at submit, batches are cut
-    /// FIFO, and responses carry no admission info.
+    /// The default, [`AdmissionConfig::disabled`], cuts batches FIFO with
+    /// no ceiling, cap or budget, and its responses carry no admission
+    /// info.
     pub admission: AdmissionConfig,
 }
 
@@ -146,22 +143,14 @@ impl ServiceConfig {
     }
 }
 
-/// One accepted request travelling from the queue to the executor.
+/// One accepted request travelling from submission to the executor, with
+/// what admission resolved about it.
 #[derive(Debug)]
 struct Pending {
     request: CollectiveRequest,
     inputs: Vec<Vec<f32>>,
     slot: Arc<ResponseSlot>,
     submitted_at: Instant,
-    /// Admission metadata, present only when the service runs with an
-    /// active [`AdmissionConfig`] (the plain path pays nothing for it).
-    admit: Option<AdmitMeta>,
-}
-
-/// What the admission layer resolved about a request at submission, carried
-/// alongside it to execution.
-#[derive(Debug)]
-struct AdmitMeta {
     tenant: TenantId,
     /// Predicted cycles (warm plan choice, else the pure cost model).
     /// `None` when no prediction was computable (malformed request).
@@ -178,7 +167,7 @@ struct AdmitMeta {
     deferred_wait: Option<Duration>,
 }
 
-impl AdmitMeta {
+impl Pending {
     /// Cycles charged against the tenant's bucket: the prediction for items
     /// that will execute, zero for items that will be rejected at execution
     /// (they consume no fabric time).
@@ -191,13 +180,6 @@ impl AdmitMeta {
     }
 }
 
-/// The admission side of the shared state (present only when active).
-#[derive(Debug)]
-struct AdmissionShared {
-    config: AdmissionConfig,
-    controller: AdmissionController<Pending>,
-}
-
 /// State shared between submitters and the batcher thread.
 #[derive(Debug)]
 struct Shared {
@@ -206,7 +188,8 @@ struct Shared {
     stats: StatsRecorder,
     max_batch: usize,
     max_wait: Duration,
-    admission: Option<AdmissionShared>,
+    admission: AdmissionConfig,
+    controller: AdmissionController<Pending>,
 }
 
 /// A continuously serving collective front-end. See the [module
@@ -237,23 +220,20 @@ impl CollectiveService {
     /// thread immediately; the service accepts requests as soon as this
     /// returns.
     pub fn with_config(config: ServiceConfig) -> Self {
-        let admission = config.admission.is_active().then(|| AdmissionShared {
-            controller: AdmissionController::new(&config.admission),
-            config: config.admission.clone(),
-        });
         let shared = Arc::new(Shared {
             queue: SubmissionQueue::new(config.queue_capacity),
             executor: Executor::with_config(config.executor),
             stats: StatsRecorder::default(),
             max_batch: config.max_batch.max(1),
             max_wait: config.max_wait,
-            admission,
+            controller: AdmissionController::new(&config.admission),
+            admission: config.admission,
         });
         let batcher = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("collective-batcher".into())
-                .spawn(move || batcher_loop(&shared))
+                .spawn(move || serve_loop(&shared))
                 .expect("spawning the batcher thread")
         };
         CollectiveService { shared, batcher: Mutex::new(Some(batcher)) }
@@ -264,8 +244,7 @@ impl CollectiveService {
     /// Returns the completion handle immediately once the request is
     /// queued; fails with [`CollectiveError::ServiceStopped`] if the
     /// service has been shut down (including while blocked waiting for a
-    /// slot). With an active admission policy this accounts the request to
-    /// [`TenantId::DEFAULT`] — see
+    /// slot). The request is accounted to [`TenantId::DEFAULT`] — see
     /// [`submit_as`](CollectiveService::submit_as).
     pub fn submit(
         &self,
@@ -278,9 +257,9 @@ impl CollectiveService {
     /// Submit a request on behalf of `tenant`, blocking while the queue is
     /// at capacity.
     ///
-    /// With an active admission policy the request is priced by the cost
-    /// model before it is queued (a warm plan's recorded choice when one is
-    /// cached, the pure model otherwise — never a plan generation):
+    /// The request is priced by the cost model before it is queued (a warm
+    /// plan's recorded choice when one is cached, the pure model otherwise —
+    /// never a plan generation), and the admission policy applies:
     ///
     /// * priced above `max_predicted_cycles` →
     ///   [`CollectiveError::OverBudget`] immediately;
@@ -295,29 +274,7 @@ impl CollectiveService {
         inputs: Vec<Vec<f32>>,
         tenant: TenantId,
     ) -> Result<ResponseHandle, CollectiveError> {
-        let Some(admission) = &self.shared.admission else {
-            let (pending, handle) = self.pending(request, inputs, None);
-            return match self.shared.queue.push(pending) {
-                Ok(()) => {
-                    self.shared.stats.record_submitted();
-                    Ok(handle)
-                }
-                Err(_) => Err(CollectiveError::ServiceStopped),
-            };
-        };
-        let meta = self.admission_meta(admission, &request, &inputs, tenant)?;
-        let cost = meta.charge_cost();
-        let (pending, handle) = self.pending(request, inputs, Some(meta));
-        match admission.controller.try_charge(tenant, cost, Instant::now()) {
-            Charge::Admitted => match self.shared.queue.push(pending) {
-                Ok(()) => {
-                    self.shared.stats.record_submitted();
-                    Ok(handle)
-                }
-                Err(_) => Err(CollectiveError::ServiceStopped),
-            },
-            Charge::Defer => self.defer(admission, pending, handle, tenant, cost),
-        }
+        self.enqueue(request, inputs, tenant, true)
     }
 
     /// Submit a request without blocking.
@@ -325,8 +282,8 @@ impl CollectiveService {
     /// Fails fast with [`CollectiveError::QueueFull`] when the queue is at
     /// capacity (the backpressure signal — retry later or fall back to the
     /// blocking [`submit`](CollectiveService::submit)), or
-    /// [`CollectiveError::ServiceStopped`] after shutdown. With an active
-    /// admission policy this accounts the request to [`TenantId::DEFAULT`].
+    /// [`CollectiveError::ServiceStopped`] after shutdown. The request is
+    /// accounted to [`TenantId::DEFAULT`].
     pub fn try_submit(
         &self,
         request: CollectiveRequest,
@@ -344,37 +301,40 @@ impl CollectiveService {
         inputs: Vec<Vec<f32>>,
         tenant: TenantId,
     ) -> Result<ResponseHandle, CollectiveError> {
-        let Some(admission) = &self.shared.admission else {
-            let (pending, handle) = self.pending(request, inputs, None);
-            return match self.shared.queue.try_push(pending) {
-                Ok(()) => {
-                    self.shared.stats.record_submitted();
-                    Ok(handle)
-                }
-                Err(TryPushError::Full(_)) => {
-                    self.shared.stats.record_rejected();
-                    Err(CollectiveError::QueueFull { capacity: self.shared.queue.capacity() })
-                }
-                Err(TryPushError::Closed(_)) => Err(CollectiveError::ServiceStopped),
-            };
+        self.enqueue(request, inputs, tenant, false)
+    }
+
+    /// Admit a submission and charge its tenant, then queue it — blocking
+    /// for a slot or failing fast on a full queue — or defer it.
+    fn enqueue(
+        &self,
+        request: CollectiveRequest,
+        inputs: Vec<Vec<f32>>,
+        tenant: TenantId,
+        block: bool,
+    ) -> Result<ResponseHandle, CollectiveError> {
+        let shared = &*self.shared;
+        let (pending, handle) = self.admit(request, inputs, tenant)?;
+        let cost = pending.charge_cost();
+        if shared.controller.try_charge(tenant, cost, Instant::now()) == Charge::Defer {
+            return self.defer(pending, handle, tenant, cost);
+        }
+        let pushed = if block {
+            shared.queue.push(pending).map_err(TryPushError::Closed)
+        } else {
+            shared.queue.try_push(pending)
         };
-        let meta = self.admission_meta(admission, &request, &inputs, tenant)?;
-        let cost = meta.charge_cost();
-        let (pending, handle) = self.pending(request, inputs, Some(meta));
-        match admission.controller.try_charge(tenant, cost, Instant::now()) {
-            Charge::Admitted => match self.shared.queue.try_push(pending) {
-                Ok(()) => {
-                    self.shared.stats.record_submitted();
-                    Ok(handle)
-                }
-                Err(TryPushError::Full(_)) => {
-                    admission.controller.refund(tenant, cost, Instant::now());
-                    self.shared.stats.record_rejected();
-                    Err(CollectiveError::QueueFull { capacity: self.shared.queue.capacity() })
-                }
-                Err(TryPushError::Closed(_)) => Err(CollectiveError::ServiceStopped),
-            },
-            Charge::Defer => self.defer(admission, pending, handle, tenant, cost),
+        match pushed {
+            Ok(()) => {
+                shared.stats.record_submitted();
+                Ok(handle)
+            }
+            Err(TryPushError::Full(_)) => {
+                shared.controller.refund(tenant, cost, Instant::now());
+                shared.stats.record_rejected();
+                Err(CollectiveError::QueueFull { capacity: shared.queue.capacity() })
+            }
+            Err(TryPushError::Closed(_)) => Err(CollectiveError::ServiceStopped),
         }
     }
 
@@ -382,13 +342,12 @@ impl CollectiveService {
     /// queue, kicking the batcher so it recomputes its release deadline.
     fn defer(
         &self,
-        admission: &AdmissionShared,
         pending: Pending,
         handle: ResponseHandle,
         tenant: TenantId,
         cost: u64,
     ) -> Result<ResponseHandle, CollectiveError> {
-        match admission.controller.defer(tenant, cost, pending, Instant::now()) {
+        match self.shared.controller.defer(tenant, cost, pending, Instant::now()) {
             Ok(()) => {
                 self.shared.stats.record_submitted();
                 self.shared.stats.record_deferred();
@@ -397,43 +356,53 @@ impl CollectiveService {
             }
             Err(DeferError::Overflow(_)) => {
                 self.shared.stats.record_deferral_overflow();
-                Err(CollectiveError::QueueFull { capacity: admission.config.deferred_capacity })
+                Err(CollectiveError::QueueFull {
+                    capacity: self.shared.admission.deferred_capacity,
+                })
             }
             Err(DeferError::Closed(_)) => Err(CollectiveError::ServiceStopped),
         }
     }
 
-    /// Resolve the admission metadata for one submission: plan-free
-    /// validity, the predicted cycles, and the per-request ceiling. The
-    /// ceiling applies only to requests that would actually execute —
-    /// invalid ones flow through to their handles so callers get the
-    /// specific typed error rather than a budget rejection.
-    fn admission_meta(
+    /// Admit one submission: plan-free validity, the predicted cycles, and
+    /// the per-request ceiling. The ceiling applies only to requests that
+    /// would actually execute — invalid ones flow through to their handles
+    /// so callers get the specific typed error rather than a budget
+    /// rejection.
+    fn admit(
         &self,
-        admission: &AdmissionShared,
-        request: &CollectiveRequest,
-        inputs: &[Vec<f32>],
+        request: CollectiveRequest,
+        inputs: Vec<Vec<f32>>,
         tenant: TenantId,
-    ) -> Result<AdmitMeta, CollectiveError> {
-        let valid = request.check_submission(inputs).is_ok();
-        let predicted = self
-            .shared
-            .executor
-            .cached_plan(request)
+    ) -> Result<(Pending, ResponseHandle), CollectiveError> {
+        let executor = &self.shared.executor;
+        let valid = request.check_submission(&inputs).is_ok();
+        let predicted = executor
+            .cached_plan(&request)
             .and_then(|plan| plan.predicted_cycles())
-            .or_else(|| request.predicted_cycles(self.shared.executor.machine()).ok())
+            .or_else(|| request.predicted_cycles(executor.machine()).ok())
             .map(|cycles| cycles.max(0.0).ceil() as u64);
-        if valid {
-            if let (Some(predicted), Some(limit)) =
-                (predicted, admission.config.max_predicted_cycles)
-            {
-                if predicted > limit {
-                    self.shared.stats.record_over_budget();
-                    return Err(CollectiveError::OverBudget { predicted, limit });
-                }
+        if let (true, Some(predicted), Some(limit)) =
+            (valid, predicted, self.shared.admission.max_predicted_cycles)
+        {
+            if predicted > limit {
+                self.shared.stats.record_over_budget();
+                return Err(CollectiveError::OverBudget { predicted, limit });
             }
         }
-        Ok(AdmitMeta { tenant, predicted, valid, run_index: None, deferred_wait: None })
+        let (handle, slot) = ResponseHandle::new();
+        let pending = Pending {
+            request,
+            inputs,
+            slot,
+            submitted_at: Instant::now(),
+            tenant,
+            predicted,
+            valid,
+            run_index: None,
+            deferred_wait: None,
+        };
+        Ok((pending, handle))
     }
 
     /// A point-in-time snapshot of the service's counters.
@@ -459,16 +428,6 @@ impl CollectiveService {
         }
         self.stats()
     }
-
-    fn pending(
-        &self,
-        request: CollectiveRequest,
-        inputs: Vec<Vec<f32>>,
-        admit: Option<AdmitMeta>,
-    ) -> (Pending, ResponseHandle) {
-        let (handle, slot) = ResponseHandle::new();
-        (Pending { request, inputs, slot, submitted_at: Instant::now(), admit }, handle)
-    }
 }
 
 impl Drop for CollectiveService {
@@ -477,60 +436,28 @@ impl Drop for CollectiveService {
     }
 }
 
-/// The batcher thread: pop → accumulate → flush on size/deadline → execute,
-/// until the queue is closed and drained. Dispatches to the admission-aware
-/// loop when a policy is active.
-fn batcher_loop(shared: &Shared) {
-    if let Some(admission) = &shared.admission {
-        return admission_batcher_loop(shared, admission);
-    }
-    let mut batcher: Batcher<Pending> = Batcher::new(shared.max_batch, shared.max_wait);
-    loop {
-        match shared.queue.pop(batcher.deadline()) {
-            Popped::Item(pending) => {
-                if let Some((batch, reason)) = batcher.push(pending, Instant::now()) {
-                    execute_batch(shared, batch, reason);
-                }
-            }
-            Popped::TimedOut => {
-                if let Some((batch, reason)) = batcher.flush_due(Instant::now()) {
-                    execute_batch(shared, batch, reason);
-                }
-            }
-            Popped::Closed => {
-                // Shutdown drain: the queue is empty and closed; whatever
-                // is still accumulated forms the final batch.
-                if let Some((batch, reason)) = batcher.flush_remaining() {
-                    execute_batch(shared, batch, reason);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// The admission-aware batcher loop: release affordable deferrals, stamp
-/// run indices as items enter the accumulator, cut cost-aware batches, and
+/// The batcher thread: release affordable deferrals, stamp run indices as
+/// items enter the accumulator, cut batches under the admission policy, and
 /// sleep until the earlier of the batch deadline and the next budget
-/// release.
-fn admission_batcher_loop(shared: &Shared, admission: &AdmissionShared) {
+/// release — until the queue is closed and everything accepted is drained.
+fn serve_loop(shared: &Shared) {
     let mut batcher: Batcher<Pending> = Batcher::with_policy(
         shared.max_batch,
         shared.max_wait,
-        admission.config.order,
-        admission.config.max_batch_cycles,
+        shared.admission.order,
+        shared.admission.max_batch_cycles,
     );
     loop {
         // Budget releases first: a deferral released now was submitted
         // before anything still sitting in the queue behind it.
-        ingest_releases(shared, admission, &mut batcher);
-        flush_and_ingest(shared, admission, &mut batcher);
-        let deadline =
-            min_deadline(batcher.deadline(), admission.controller.next_release_at(Instant::now()));
+        ingest_releases(shared, &mut batcher);
+        flush_and_ingest(shared, &mut batcher);
+        let release = shared.controller.next_release_at(Instant::now());
+        let deadline = batcher.deadline().into_iter().chain(release).min();
         match shared.queue.pop(deadline) {
             Popped::Item(pending) => {
                 accumulate(shared, &mut batcher, pending);
-                flush_and_ingest(shared, admission, &mut batcher);
+                flush_and_ingest(shared, &mut batcher);
             }
             Popped::TimedOut => {
                 // Deadline or kick: the loop head re-evaluates releases and
@@ -540,16 +467,13 @@ fn admission_batcher_loop(shared: &Shared, admission: &AdmissionShared) {
                 // Shutdown: close the controller (no new deferrals can slip
                 // in), force-drain every deferred item regardless of budget
                 // — no accepted request is ever dropped — and flush.
-                admission.controller.close();
-                let now = Instant::now();
-                for (mut pending, wait) in admission.controller.drain(now) {
-                    if let Some(meta) = pending.admit.as_mut() {
-                        meta.deferred_wait = Some(wait);
-                    }
+                shared.controller.close();
+                for (mut pending, wait) in shared.controller.drain(Instant::now()) {
+                    pending.deferred_wait = Some(wait);
                     accumulate(shared, &mut batcher, pending);
                 }
                 while let Some((batch, reason)) = batcher.flush_remaining() {
-                    execute_batch_stamped(shared, batch, reason);
+                    dispatch(shared, batch, reason);
                 }
                 return;
             }
@@ -558,28 +482,28 @@ fn admission_batcher_loop(shared: &Shared, admission: &AdmissionShared) {
 }
 
 /// Move every budget deferral whose release is due into the accumulator.
-fn ingest_releases(shared: &Shared, admission: &AdmissionShared, batcher: &mut Batcher<Pending>) {
-    let now = Instant::now();
-    for (mut pending, wait) in admission.controller.release_due(now) {
-        if let Some(meta) = pending.admit.as_mut() {
-            meta.deferred_wait = Some(wait);
-        }
+fn ingest_releases(shared: &Shared, batcher: &mut Batcher<Pending>) {
+    for (mut pending, wait) in shared.controller.release_due(Instant::now()) {
+        pending.deferred_wait = Some(wait);
         accumulate(shared, batcher, pending);
     }
 }
 
 /// Flush every ready batch, ingesting work that arrived while each batch
-/// executed — newly due budget releases and anything sitting in the
-/// submission queue — before the next cut. Without this the accumulator's
-/// leftovers (the expensive requests a cost-aware cut passed over) would
-/// execute back-to-back while cheap requests pile up unseen in the queue,
-/// re-creating exactly the head-of-line blocking the policy is meant to
-/// remove.
-fn flush_and_ingest(shared: &Shared, admission: &AdmissionShared, batcher: &mut Batcher<Pending>) {
+/// executed before the next cut: newly due budget releases always, and —
+/// under shortest-predicted-first — everything sitting in the submission
+/// queue. Without that drain the accumulator's leftovers (the expensive
+/// requests a cost-aware cut passed over) would execute back-to-back while
+/// cheap requests pile up unseen in the queue, re-creating exactly the
+/// head-of-line blocking the policy is meant to remove. A FIFO cut takes
+/// the oldest items whatever else is accumulated, so under FIFO the backlog
+/// stays in the bounded queue, where it backpressures submitters.
+fn flush_and_ingest(shared: &Shared, batcher: &mut Batcher<Pending>) {
+    let drain = shared.admission.order == BatchOrder::ShortestPredictedFirst;
     while let Some((batch, reason)) = batcher.flush_ready(Instant::now()) {
-        execute_batch_stamped(shared, batch, reason);
-        ingest_releases(shared, admission, batcher);
-        while let Some(pending) = shared.queue.try_pop() {
+        dispatch(shared, batch, reason);
+        ingest_releases(shared, batcher);
+        while let Some(pending) = drain.then(|| shared.queue.try_pop()).flatten() {
             accumulate(shared, batcher, pending);
         }
     }
@@ -590,78 +514,46 @@ fn flush_and_ingest(shared: &Shared, admission: &AdmissionShared, batcher: &mut 
 /// order" is defined) and record its predicted cost for the cut policy.
 fn accumulate(shared: &Shared, batcher: &mut Batcher<Pending>, mut pending: Pending) {
     let mut cost = 0;
-    if let Some(meta) = pending.admit.as_mut() {
-        if meta.valid {
-            meta.run_index = Some(shared.executor.reserve_run_index());
-            cost = meta.predicted.unwrap_or(0);
-        }
+    if pending.valid {
+        pending.run_index = Some(shared.executor.reserve_run_index());
+        cost = pending.predicted.unwrap_or(0);
     }
     batcher.push_costed(pending, cost, Instant::now());
 }
 
-/// The earlier of two optional deadlines.
-fn min_deadline(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, None) => a,
-        (None, b) => b,
-    }
-}
-
-/// Dispatch one formed batch to the executor and fulfil its handles.
-fn execute_batch(shared: &Shared, batch: Vec<Pending>, reason: FlushReason) {
+/// Dispatch one batch through the stamped executor entry point (the
+/// pre-assigned run indices survive any reordering) and fulfil each handle
+/// — with its admission info when a policy is set.
+fn dispatch(shared: &Shared, batch: Vec<Pending>, reason: FlushReason) {
     shared.stats.record_batch(batch.len(), reason);
-    let mut slots = Vec::with_capacity(batch.len());
-    let items: Vec<BatchItem> = batch
-        .into_iter()
-        .map(|pending| {
-            slots.push((pending.slot, pending.submitted_at));
-            BatchItem::new(pending.request, pending.inputs)
-        })
-        .collect();
-    let results = shared.executor.run_batch(&items);
-    let completed_at = Instant::now();
-    for ((slot, submitted_at), result) in slots.into_iter().zip(results) {
-        let latency = completed_at.duration_since(submitted_at);
-        shared.stats.record_completion(latency);
-        slot.fulfil(Response { result, latency, admission: None });
-    }
-}
-
-/// Dispatch one cost-aware batch through the stamped executor entry point
-/// (the pre-assigned run indices survive any reordering) and fulfil each
-/// handle with its admission info.
-fn execute_batch_stamped(shared: &Shared, batch: Vec<Pending>, reason: FlushReason) {
-    shared.stats.record_batch(batch.len(), reason);
+    let annotate = shared.admission.is_active();
     let mut slots = Vec::with_capacity(batch.len());
     let items: Vec<StampedItem> = batch
         .into_iter()
         .map(|pending| {
-            let Pending { request, inputs, slot, submitted_at, admit } = pending;
-            let meta = admit.expect("admission path always attaches metadata");
             let info = AdmissionInfo {
-                outcome: match meta.deferred_wait {
+                outcome: match pending.deferred_wait {
                     Some(wait) => AdmissionOutcome::DeferredThenAdmitted { wait },
                     None => AdmissionOutcome::Admitted,
                 },
-                tenant: meta.tenant,
-                predicted_cycles: meta.predicted,
-                run_index: meta.run_index,
+                tenant: pending.tenant,
+                predicted_cycles: pending.predicted,
+                run_index: pending.run_index,
             };
-            slots.push((slot, submitted_at, info));
+            slots.push((pending.slot, pending.submitted_at, annotate.then_some(info)));
             StampedItem {
-                item: BatchItem::new(request, inputs),
-                run_index: meta.run_index.unwrap_or(0),
-                predicted_cycles: if meta.valid { meta.predicted } else { None },
+                item: BatchItem::new(pending.request, pending.inputs),
+                run_index: pending.run_index.unwrap_or(0),
+                predicted_cycles: if pending.valid { pending.predicted } else { None },
             }
         })
         .collect();
     let results = shared.executor.run_stamped(&items);
     let completed_at = Instant::now();
-    for ((slot, submitted_at, info), result) in slots.into_iter().zip(results) {
+    for ((slot, submitted_at, admission), result) in slots.into_iter().zip(results) {
         let latency = completed_at.duration_since(submitted_at);
         shared.stats.record_completion(latency);
-        slot.fulfil(Response { result, latency, admission: Some(info) });
+        slot.fulfil(Response { result, latency, admission });
     }
 }
 
@@ -772,6 +664,71 @@ mod tests {
         assert!(response.admission.is_none(), "no admission info without a policy");
         let stats = service.shutdown();
         assert_eq!((stats.over_budget, stats.deferred, stats.deferral_overflow), (0, 0, 0));
+    }
+
+    #[test]
+    fn default_services_price_requests_for_the_drift_summary() {
+        let service = CollectiveService::with_config(ServiceConfig {
+            max_wait: Duration::from_micros(100),
+            ..ServiceConfig::default()
+        });
+        let good = service.submit(reduce_request(4, 8), inputs(4, 8)).unwrap();
+        let bad = service.submit(reduce_request(4, 8), inputs(3, 8)).unwrap();
+        assert!(good.wait().result.is_ok());
+        assert!(bad.wait().result.is_err());
+        service.shutdown();
+        let prediction = service.executor_stats().prediction;
+        assert_eq!(prediction.samples, 1, "every executed request carries its price");
+    }
+
+    #[test]
+    fn an_unbounded_batch_window_is_answered_by_the_shutdown_drain() {
+        // Regression: `max_wait: Duration::MAX` overflowed the batch deadline
+        // and panicked the batcher, after which every handle hung while
+        // `submit` kept returning `Ok`.
+        let service = CollectiveService::with_config(ServiceConfig {
+            max_wait: Duration::MAX,
+            ..ServiceConfig::default()
+        });
+        let first = service.submit(reduce_request(4, 8), inputs(4, 8)).unwrap();
+        // Let the batcher pick the lone request up before the next arrives.
+        std::thread::sleep(Duration::from_millis(20));
+        let second = service.submit(reduce_request(5, 8), inputs(5, 8)).unwrap();
+        assert!(first.wait_timeout(Duration::from_millis(50)).is_none(), "no deadline flush");
+        let stats = service.shutdown();
+        assert_eq!(stats.completed, 2);
+        for handle in [first, second] {
+            let response = handle.wait_timeout(Duration::from_secs(30)).expect("drained");
+            assert!(response.result.is_ok());
+        }
+    }
+
+    #[test]
+    fn a_vanishing_refill_rate_blocks_only_its_own_tenant() {
+        // Regression: a 1e-300 cycles/s refill overflowed the release-time
+        // computation and killed the batcher, hanging the tenant's first
+        // (admitted) request and every other tenant's too.
+        let request = reduce_request(6, 16);
+        let predicted =
+            request.predicted_cycles(&wse_model::Machine::wse2()).unwrap().ceil() as u64;
+        let tenant = TenantId(7);
+        let service = CollectiveService::with_config(ServiceConfig {
+            admission: AdmissionConfig::disabled()
+                .with_tenant_budget(tenant, TenantBudget::new(predicted, 1e-300)),
+            max_wait: Duration::from_micros(100),
+            ..ServiceConfig::default()
+        });
+        let first = service.submit_as(request, inputs(6, 16), tenant).unwrap();
+        let deferred = service.submit_as(request, inputs(6, 16), tenant).unwrap();
+        let other = service.submit_as(request, inputs(6, 16), TenantId(8)).unwrap();
+        for handle in [first, other] {
+            let response = handle.wait_timeout(Duration::from_secs(30)).expect("not blocked");
+            assert!(response.result.is_ok());
+        }
+        assert!(!deferred.is_ready(), "the refill never lands before shutdown");
+        let stats = service.shutdown();
+        assert_eq!((stats.deferred, stats.completed), (1, 3));
+        assert!(deferred.wait().result.is_ok(), "shutdown drains the deferral");
     }
 
     #[test]

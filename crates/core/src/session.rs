@@ -1,34 +1,36 @@
-//! Reusable execution sessions with an LRU plan cache.
+//! Sequential execution sessions: the single-caller face of the execution
+//! core.
 //!
 //! Serving heavy repeated collective traffic has two per-request costs the
-//! one-shot free functions pay every time: *plan generation* (model
-//! evaluation, Auto-Gen DP, routing-script construction) and *fabric
+//! one-shot [`crate::runner::run_plan`] pays every time: *plan generation*
+//! (model evaluation, Auto-Gen DP, routing-script construction) and *fabric
 //! construction* (allocating the whole simulated mesh). A [`Session`]
 //! amortises both — the production pattern of build once, select by model,
-//! execute many times:
+//! execute many times. It is a `&mut self` facade over a one-worker
+//! [`Executor`], so it shares the executor's plan cache, fabric pool,
+//! statistics and noise-run index rule:
 //!
 //! * plans are resolved through an LRU cache keyed by the full
 //!   [`CollectiveRequest`] (kind, topology, vector length, op, schedule,
 //!   root); the session's machine parameters are fixed at construction, so
 //!   they are implicitly part of every key and a repeated request reuses
 //!   the exact plan bytes it generated the first time, and
-//! * execution reuses one resettable [`Fabric`] per grid shape
-//!   ([`Fabric::reset`]) instead of reallocating the mesh per run.
+//! * execution reuses resettable [`wse_fabric::Fabric`]s per grid shape
+//!   from the executor's pool instead of reallocating the mesh per run.
 //!
-//! [`SessionStats`] exposes hit/miss and reuse counters so callers (and the
-//! integration tests) can verify the amortisation actually happens.
+//! [`Session::stats`] exposes the executor's hit/miss and reuse counters so
+//! callers (and the integration tests) can verify the amortisation actually
+//! happens.
 
-use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-use wse_fabric::geometry::GridDim;
-use wse_fabric::Fabric;
 use wse_model::Machine;
 
-use crate::cache::PlanCache;
 use crate::error::CollectiveError;
+use crate::executor::{BatchItem, Executor, ExecutorConfig, ExecutorStats};
 use crate::request::{CollectiveRequest, ResolvedPlan};
-use crate::runner::{check_inputs, execute_on, RunConfig, RunOutcome};
+use crate::runner::{RunConfig, RunOutcome};
 
 /// Configuration of a [`Session`].
 #[derive(Debug, Clone)]
@@ -64,24 +66,7 @@ impl SessionConfig {
     }
 }
 
-/// Counters describing how much work a session amortised.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Requests answered from the plan cache.
-    pub plan_hits: u64,
-    /// Requests that had to generate a plan.
-    pub plan_misses: u64,
-    /// Plans evicted to respect the cache capacity.
-    pub plan_evictions: u64,
-    /// Collective executions performed.
-    pub runs: u64,
-    /// Runs that reused (reset) an existing fabric.
-    pub fabric_reuses: u64,
-    /// Fabrics allocated for new grid shapes.
-    pub fabrics_created: u64,
-}
-
-/// A reusable executor for collective requests.
+/// A reusable, sequential executor for collective requests.
 ///
 /// ```
 /// use wse_collectives::prelude::*;
@@ -102,10 +87,7 @@ pub struct SessionStats {
 /// ```
 #[derive(Debug)]
 pub struct Session {
-    config: SessionConfig,
-    cache: PlanCache,
-    fabrics: HashMap<GridDim, Fabric>,
-    stats: SessionStats,
+    executor: Executor,
 }
 
 impl Default for Session {
@@ -127,121 +109,77 @@ impl Session {
 
     /// A session with full configuration control.
     pub fn with_config(config: SessionConfig) -> Self {
-        Session {
-            config,
-            cache: PlanCache::default(),
-            fabrics: HashMap::new(),
-            stats: SessionStats::default(),
-        }
+        let executor = Executor::with_config(ExecutorConfig {
+            session: config,
+            workers: NonZeroUsize::new(1),
+            ..ExecutorConfig::default()
+        });
+        Session { executor }
     }
 
     /// The machine model requests are resolved against.
     pub fn machine(&self) -> &Machine {
-        &self.config.machine
+        self.executor.machine()
     }
 
     /// Amortisation counters accumulated so far.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
+    pub fn stats(&self) -> ExecutorStats {
+        self.executor.stats()
     }
 
     /// Number of plans currently cached.
     pub fn cached_plans(&self) -> usize {
-        self.cache.len()
+        self.executor.cached_plans()
     }
 
     /// Drop every cached plan (the fabrics and statistics are kept).
     pub fn clear_plan_cache(&mut self) {
-        self.cache.clear();
+        self.executor.clear_plan_cache();
     }
 
-    /// Resolve a request into an executable plan through the plan cache.
-    ///
-    /// The first resolution of a distinct request generates the plan
-    /// (`plan_misses`); later resolutions return the cached plan unchanged
-    /// (`plan_hits`). The returned [`Arc`] stays valid even if the entry is
-    /// later evicted.
+    /// Resolve a request into an executable plan through the plan cache
+    /// (see [`Executor::plan`]).
     pub fn plan(
         &mut self,
         request: &CollectiveRequest,
     ) -> Result<Arc<ResolvedPlan>, CollectiveError> {
-        if let Some(cached) = self.cache.get(request) {
-            self.stats.plan_hits += 1;
-            return Ok(cached);
-        }
-        let resolved = Arc::new(request.resolve(&self.config.machine)?);
-        self.stats.plan_misses += 1;
-        self.stats.plan_evictions +=
-            self.cache.insert(*request, Arc::clone(&resolved), self.config.plan_cache_capacity);
-        Ok(resolved)
+        self.executor.plan(request)
     }
 
     /// Resolve (through the cache) and execute a request.
     ///
     /// `inputs` provides one vector per data PE of the resolved plan, in
     /// plan order — for Reduce/AllReduce that is every PE of the topology in
-    /// row-major order, for Broadcast just the root. Execution reuses the
-    /// session's fabric for the request's grid shape, resetting it in place
-    /// instead of allocating a fresh mesh.
+    /// row-major order, for Broadcast just the root. Execution reuses a
+    /// pooled fabric for the request's grid shape, reset in place instead of
+    /// allocating a fresh mesh.
+    ///
+    /// When the session's [`RunConfig`] carries a noise model, every run
+    /// draws a *fresh* thermal-noise realization: the model attached to the
+    /// fabric is derived from the configured base seed and the index of the
+    /// run among the session's executed runs
+    /// ([`wse_fabric::NoiseModel::for_run`]). Two noisy runs of the same
+    /// request therefore differ (as on the real machine), while two sessions
+    /// with the same configuration still reproduce each other exactly, run
+    /// for run. A rejected call consumes no run index.
     pub fn run(
         &mut self,
         request: &CollectiveRequest,
         inputs: &[Vec<f32>],
     ) -> Result<RunOutcome, CollectiveError> {
-        let resolved = self.plan(request)?;
-        self.run_resolved(&resolved, inputs)
-    }
-
-    /// Execute an already-resolved plan on the session's fabrics.
-    ///
-    /// When the session's [`RunConfig`] carries a noise model, every run
-    /// draws a *fresh* thermal-noise realization: the model attached to the
-    /// fabric is derived from the configured base seed and the session's run
-    /// counter ([`wse_fabric::NoiseModel::for_run`]). Two noisy runs of the
-    /// same request therefore differ (as on the real machine), while two
-    /// sessions with the same configuration still reproduce each other
-    /// exactly, run for run.
-    pub fn run_resolved(
-        &mut self,
-        resolved: &ResolvedPlan,
-        inputs: &[Vec<f32>],
-    ) -> Result<RunOutcome, CollectiveError> {
-        // Validate before counting anything or touching a fabric: a rejected
-        // call must leave the amortisation statistics untouched.
-        check_inputs(&resolved.plan, inputs)?;
-        let dim = resolved.plan.dim();
-        let Session { config, fabrics, stats, .. } = self;
-        let fabric = match fabrics.entry(dim) {
-            std::collections::hash_map::Entry::Occupied(entry) => {
-                stats.fabric_reuses += 1;
-                let fabric = entry.into_mut();
-                fabric.reset();
-                fabric
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                stats.fabrics_created += 1;
-                entry.insert(Fabric::new(dim, config.run.params))
-            }
-        };
-        fabric.set_noise(config.run.noise.as_ref().map(|noise| noise.for_run(stats.runs)));
-        stats.runs += 1;
-        execute_on(fabric, &resolved.plan, inputs)
+        let mut results = self.executor.run_in_order(&[(request, inputs)]);
+        results.pop().expect("one result per item")
     }
 
     /// Resolve and execute a batch of requests sequentially, in order.
     ///
-    /// This is the serial counterpart of
-    /// [`crate::executor::Executor::run_batch`]: a batch run on a fresh
-    /// session and the same batch run on a fresh executor produce
-    /// byte-identical outcomes — both assign noise-run indices to the items
-    /// that actually execute, in order, and neither consumes an index for a
-    /// rejected item — which is what the equivalence tests and the
-    /// throughput benchmark compare.
-    pub fn run_batch(
-        &mut self,
-        batch: &[crate::executor::BatchItem],
-    ) -> Vec<Result<RunOutcome, CollectiveError>> {
-        batch.iter().map(|item| self.run(&item.request, &item.inputs)).collect()
+    /// This is the serial counterpart of [`Executor::run_batch`]: a batch
+    /// run on a fresh session and the same batch run on a fresh executor
+    /// produce byte-identical outcomes — both assign noise-run indices to the
+    /// items that actually execute, in order — which is what the equivalence
+    /// tests and the throughput benchmark compare.
+    pub fn run_batch(&mut self, batch: &[BatchItem]) -> Vec<Result<RunOutcome, CollectiveError>> {
+        self.executor.run_batch(batch)
     }
 }
 
@@ -453,6 +391,28 @@ mod tests {
         let one_shot = run_plan(&resolved.plan, &data, &config.run).unwrap();
         assert_eq!(session_outcome.report, one_shot.report);
         assert_eq!(session_outcome.outputs, one_shot.outputs);
+    }
+
+    #[test]
+    fn auto_selection_follows_the_model_regions() {
+        // Huge vectors on few PEs: ring territory (Figure 8). Intermediate
+        // vectors on many PEs: two-phase territory.
+        let mut session = Session::new();
+        let ring = session.plan(&CollectiveRequest::allreduce(Topology::line(4), 4096)).unwrap();
+        assert_eq!(ring.algorithm, "Ring");
+        let two_phase = session.plan(&CollectiveRequest::reduce(Topology::line(256), 256)).unwrap();
+        assert_eq!(two_phase.algorithm, "Two-Phase");
+    }
+
+    #[test]
+    fn auto_allreduce_runs_when_the_vector_does_not_divide() {
+        // b = 4098 is not divisible by p = 4, but the model may still pick
+        // the ring; the resolved plan must nevertheless run correctly.
+        let mut session = Session::new();
+        let data = inputs(4, 4098);
+        let request = CollectiveRequest::allreduce(Topology::line(4), 4098);
+        let outcome = session.run(&request, &data).unwrap();
+        assert_outputs_close(&outcome, &expected_reduce(&data, ReduceOp::Sum), 1e-3);
     }
 
     #[test]

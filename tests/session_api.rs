@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 
 use wse_collectives::prelude::*;
+use wse_fabric::NoiseModel;
 use wse_integration_tests::deterministic_inputs;
 
 /// Acceptance scenario: one session, three distinct requests, each run
@@ -88,27 +89,6 @@ fn auto_schedules_cache_the_model_choice() {
     assert_eq!(session.stats().plan_hits, 1);
 }
 
-#[test]
-fn session_agrees_with_legacy_free_functions() {
-    // The legacy shims and the session path must produce identical plans and
-    // identical results for the model-selected algorithm.
-    let machine = Machine::wse2();
-    let mut session = Session::new();
-    for (p, b) in [(8u32, 16u32), (16, 128)] {
-        let legacy = select_reduce_1d(p, b, ReduceOp::Sum, &machine);
-        let request = CollectiveRequest::reduce(Topology::line(p), b);
-        let resolved = session.plan(&request).unwrap();
-        assert_eq!(legacy.plan, resolved.plan, "p={p} b={b}");
-        assert_eq!(legacy.algorithm, resolved.algorithm);
-
-        let inputs = deterministic_inputs(p as usize, b as usize);
-        let legacy_outcome = run_plan(&legacy.plan, &inputs, &RunConfig::default()).unwrap();
-        let session_outcome = session.run(&request, &inputs).unwrap();
-        assert_eq!(legacy_outcome.report, session_outcome.report);
-        assert_eq!(legacy_outcome.outputs, session_outcome.outputs);
-    }
-}
-
 fn schedule_strategy() -> impl Strategy<Value = Schedule> {
     prop_oneof![
         Just(Schedule::Auto),
@@ -176,5 +156,81 @@ proptest! {
         let one_shot = run_plan(&resolved.plan, &inputs, &RunConfig::default()).unwrap();
         prop_assert_eq!(&session_outcome.report, &one_shot.report);
         prop_assert_eq!(&session_outcome.outputs, &one_shot.outputs);
+    }
+}
+
+/// One item of mixed traffic for the oracle test: a request of any kind on
+/// a line (or a small grid) with its contract-shaped inputs, then — for
+/// `fault >= 2` — corrupted into one of the typed rejections. `b` must be a
+/// multiple of `p` so the sharded kinds are valid before corruption.
+fn oracle_item(kind: u32, fault: u32, p: u32, b: u32) -> (CollectiveRequest, Vec<Vec<f32>>) {
+    let line = Topology::line(p);
+    let mut request = match kind {
+        0 => CollectiveRequest::reduce(line, b),
+        1 => CollectiveRequest::allreduce(line, b),
+        2 => CollectiveRequest::broadcast(line, b),
+        3 => CollectiveRequest::reduce(Topology::grid(p.min(4), 2), b),
+        4 => CollectiveRequest::reduce_scatter(line, b),
+        5 => CollectiveRequest::allgather(line, b),
+        6 => CollectiveRequest::gather(line, b),
+        _ => CollectiveRequest::all_to_all(line, b),
+    };
+    let (count, len) = request.input_shape().expect("valid before corruption");
+    let mut inputs = deterministic_inputs(count, len as usize);
+    match fault {
+        // Valid (twice as likely as each corruption).
+        0 | 1 => {}
+        2 => {
+            inputs.pop();
+        }
+        3 => inputs[0].push(0.0),
+        4 => request.vector_len = 0,
+        // Fits only the grid reduce: a schedule mismatch everywhere else.
+        _ => request = request.with_schedule(Schedule::Reduce2d(Reduce2dPattern::Snake)),
+    }
+    (request, inputs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    /// An oracle independent of the execution core: the `k`-th item a noisy
+    /// session executes must equal the one-shot path — a cold
+    /// `CollectiveRequest::resolve`, then `run_plan` on a fresh fabric under
+    /// `NoiseModel::for_run(k)` — and a rejected item must return the
+    /// one-shot path's typed error without consuming a `k`.
+    #[test]
+    fn noisy_session_runs_match_the_one_shot_oracle(
+        codes in proptest::collection::vec(0u32..48, 1..10),
+        p in 2u32..9,
+        chunks in 1u32..5,
+        probability in 0.01f64..0.2,
+        seed in 0u64..1_000_000,
+    ) {
+        let noise = NoiseModel::new(probability, seed);
+        let mut config = SessionConfig::default();
+        config.run.noise = Some(noise.clone());
+        let mut session = Session::with_config(config.clone());
+        let mut k = 0u64;
+        for (i, &code) in codes.iter().enumerate() {
+            let (request, inputs) = oracle_item(code % 8, code / 8, p, p * chunks);
+            let got = session.run(&request, &inputs);
+            let want = request.resolve(&config.machine).and_then(|resolved| {
+                let run = RunConfig { noise: Some(noise.for_run(k)), ..config.run.clone() };
+                run_plan(&resolved.plan, &inputs, &run)
+            });
+            match (&got, &want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert!(got.report == want.report, "item {i} (k = {k}): reports diverge");
+                    prop_assert!(got.outputs == want.outputs, "item {i} (k = {k}): outputs diverge");
+                    k += 1;
+                }
+                (Err(got), Err(want)) => {
+                    prop_assert!(got == want, "item {i}: {got:?} vs the oracle's {want:?}")
+                }
+                _ => prop_assert!(false, "item {i}: {got:?} vs the oracle's {want:?}"),
+            }
+        }
+        prop_assert_eq!(session.stats().runs, k);
     }
 }
