@@ -183,7 +183,7 @@ fn run_point(session: &mut Session, kind: CollectiveKind, p: u32, b: u32) -> Poi
         p,
         b,
         measured_cycles: outcome.runtime_cycles(),
-        predicted_cycles: resolved.predicted_cycles().expect("Auto schedules carry a prediction"),
+        predicted_cycles: resolved.predicted_cycles(),
         bound_cycles: bound_for(kind, p, b, &machine),
     }
 }

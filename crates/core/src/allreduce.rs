@@ -4,7 +4,7 @@
 use wse_fabric::geometry::{Coord, GridDim};
 use wse_fabric::program::ReduceOp;
 use wse_fabric::wavelet::Color;
-use wse_model::Machine;
+use wse_model::{AutogenSolver, Machine};
 
 use crate::broadcast::{append_flood_broadcast, append_flood_broadcast_2d};
 use crate::path::LinePath;
@@ -12,7 +12,7 @@ use crate::phases::{
     append_allgather_rounds, append_reduce_scatter_rounds, append_ring_routes, RingColors,
 };
 use crate::plan::CollectivePlan;
-use crate::reduce::{Reduce2dPattern, ReducePattern, BROADCAST_COLOR};
+use crate::reduce::{tree_reduce_plan, Reduce2dPattern, ReducePattern, BROADCAST_COLOR};
 use crate::tree_plan::append_tree_reduce;
 
 /// The 1D AllReduce algorithms that can be compiled to a plan.
@@ -80,22 +80,27 @@ pub fn allreduce_1d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
+    allreduce_1d_plan_with(pattern, p, vector_len, op, machine, &[])
+}
+
+/// [`allreduce_1d_plan`] taking an Auto-Gen tree from `solvers`.
+pub(crate) fn allreduce_1d_plan_with(
+    pattern: AllReducePattern,
+    p: u32,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &[AutogenSolver],
+) -> CollectivePlan {
     match pattern {
         AllReducePattern::ReduceBroadcast(reduce) => {
-            let dim = GridDim::row(p);
-            let path = LinePath::row(dim, 0);
-            let mut plan = CollectivePlan::new(
-                format!("allreduce-1d-{}-p{}-b{}", pattern.name(), p, vector_len),
-                dim,
-                path.root(),
-                vector_len,
-            );
-            let tree = reduce.tree(p as usize, vector_len, machine);
-            let colors = [Color::new(0), Color::new(1)];
-            append_tree_reduce(&mut plan, &path, &tree, vector_len, op, colors, false);
+            let path = LinePath::row(GridDim::row(p), 0);
+            let tree = reduce.tree_from(p as usize, vector_len, machine, solvers);
+            let name = format!("allreduce-1d-{}-p{}-b{}", pattern.name(), p, vector_len);
+            let mut plan = tree_reduce_plan(name, &path, &tree, vector_len, op);
             append_flood_broadcast(&mut plan, &path, vector_len, 0, Color::new(BROADCAST_COLOR));
+            plan.clear_result_pes();
             for c in path.coords() {
-                plan.add_data_pe(*c);
                 plan.add_result_pe(*c);
             }
             plan
@@ -168,6 +173,18 @@ pub fn xy_allreduce_2d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
+    xy_allreduce_2d_plan_with(pattern, dim, vector_len, op, machine, &[])
+}
+
+/// [`xy_allreduce_2d_plan`] taking its Auto-Gen trees from `solvers`.
+pub(crate) fn xy_allreduce_2d_plan_with(
+    pattern: ReducePattern,
+    dim: GridDim,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &[AutogenSolver],
+) -> CollectivePlan {
     let mut plan = CollectivePlan::new(
         format!("allreduce-2d-XY-{}-{}x{}-b{}", pattern.name(), dim.height, dim.width, vector_len),
         dim,
@@ -180,7 +197,7 @@ pub fn xy_allreduce_2d_plan(
     let y_bcast = Color::new(5);
     // X phase: AllReduce inside every row.
     if dim.width > 1 {
-        let row_tree = pattern.tree(dim.width as usize, vector_len, machine);
+        let row_tree = pattern.tree_from(dim.width as usize, vector_len, machine, solvers);
         for y in 0..dim.height {
             let path = LinePath::row(dim, y);
             append_tree_reduce(&mut plan, &path, &row_tree, vector_len, op, x_colors, false);
@@ -190,7 +207,7 @@ pub fn xy_allreduce_2d_plan(
     // Y phase: AllReduce inside every column (every PE now holds its row's
     // sum, so the column AllReduce completes the global sum everywhere).
     if dim.height > 1 {
-        let col_tree = pattern.tree(dim.height as usize, vector_len, machine);
+        let col_tree = pattern.tree_from(dim.height as usize, vector_len, machine, solvers);
         for x in 0..dim.width {
             let path = LinePath::column(dim, x);
             append_tree_reduce(&mut plan, &path, &col_tree, vector_len, op, y_colors, false);
@@ -213,9 +230,14 @@ pub fn allreduce_2d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
-    let mut plan = crate::reduce::reduce_2d_plan(pattern, dim, vector_len, op, machine);
+    broadcast_2d_result(crate::reduce::reduce_2d_plan(pattern, dim, vector_len, op, machine))
+}
+
+/// Complete a 2D Reduce plan into an AllReduce: flood the root's result over
+/// the grid, after which every PE holds it.
+pub(crate) fn broadcast_2d_result(mut plan: CollectivePlan) -> CollectivePlan {
+    let (dim, vector_len) = (plan.dim(), plan.vector_len());
     append_flood_broadcast_2d(&mut plan, dim, vector_len, 0, Color::new(BROADCAST_COLOR));
-    // After the broadcast every PE holds the result.
     plan.clear_result_pes();
     for c in dim.iter() {
         plan.add_result_pe(c);

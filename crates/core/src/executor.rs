@@ -115,15 +115,6 @@ impl Default for ExecutorConfig {
     }
 }
 
-impl ExecutorConfig {
-    /// The same configuration with a different fabric engine (see
-    /// [`crate::runner::RunConfig::with_engine`]).
-    pub fn with_engine(mut self, engine: wse_fabric::EngineKind) -> Self {
-        self.session = self.session.with_engine(engine);
-        self
-    }
-}
-
 /// Counters describing how much work an executor amortised — also what
 /// [`crate::session::Session::stats`] reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -493,10 +484,11 @@ impl Executor {
     /// a miss** (and without touching LRU recency or the hit/miss counters).
     ///
     /// This is the admission controller's prediction source on the submit
-    /// path: a warm plan's recorded model [`wse_model::Choice`] prices the
-    /// request for free, and a cold request falls back to the pure cost
-    /// model ([`CollectiveRequest::predicted_cycles`]) — plan generation is
-    /// never pulled onto the submit path.
+    /// path: a warm plan's recorded price
+    /// ([`ResolvedPlan::predicted_cycles`]) prices the request for free, and
+    /// a cold request falls back to the pure cost model
+    /// ([`CollectiveRequest::predicted_cycles`], the same number) — plan
+    /// generation is never pulled onto the submit path.
     pub fn cached_plan(&self, request: &CollectiveRequest) -> Option<Arc<ResolvedPlan>> {
         self.cache.peek(request)
     }
@@ -666,7 +658,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::ReducePattern;
+    use crate::allreduce::AllReducePattern;
+    use crate::reduce::{Reduce2dPattern, ReducePattern};
     use crate::request::{Schedule, Topology};
     use crate::session::Session;
     use wse_fabric::program::ReduceOp;
@@ -850,10 +843,9 @@ mod tests {
         // byte-identical batch results.
         let batch = mixed_batch();
         let fast = Executor::new().run_batch(&batch);
-        let reference = Executor::with_config(
-            ExecutorConfig::default().with_engine(wse_fabric::EngineKind::Reference),
-        )
-        .run_batch(&batch);
+        let mut config = ExecutorConfig::default();
+        config.session.run = config.session.run.with_engine(wse_fabric::EngineKind::Reference);
+        let reference = Executor::with_config(config).run_batch(&batch);
         assert_equivalent(&fast, &reference);
     }
 
@@ -981,7 +973,42 @@ mod tests {
         assert_eq!(executor.stats().plan_misses, 0, "a peek is not a cache miss");
         executor.run_batch(&[BatchItem::new(request, inputs(8, 16))]);
         let peeked = executor.cached_plan(&request).expect("warm peek hits");
-        assert!(peeked.choice.is_some());
+        assert_eq!(
+            peeked.predicted_cycles(),
+            request.predicted_cycles(executor.machine()).unwrap()
+        );
+    }
+
+    #[test]
+    fn warm_explicit_plans_carry_the_request_price() {
+        // Admission prices a warm request from the peeked plan; explicit
+        // schedules, Auto-Gen included, must price exactly as the pure model.
+        let executor = Executor::new();
+        let requests = [
+            CollectiveRequest::reduce(Topology::line(12), 24)
+                .with_schedule(Schedule::Reduce1d(ReducePattern::AutoGen)),
+            CollectiveRequest::reduce(Topology::line(8), 16)
+                .with_schedule(Schedule::Reduce1d(ReducePattern::TwoPhase)),
+            CollectiveRequest::allreduce(Topology::line(8), 16).with_schedule(
+                Schedule::AllReduce1d(AllReducePattern::ReduceBroadcast(ReducePattern::AutoGen)),
+            ),
+            CollectiveRequest::allreduce(Topology::line(4), 16)
+                .with_schedule(Schedule::AllReduce1d(AllReducePattern::Ring)),
+            CollectiveRequest::reduce(Topology::grid(3, 4), 8)
+                .with_schedule(Schedule::Reduce2d(Reduce2dPattern::Xy(ReducePattern::AutoGen))),
+            CollectiveRequest::allreduce(Topology::grid(4, 3), 8)
+                .with_schedule(Schedule::AllReduceXy(ReducePattern::AutoGen)),
+            CollectiveRequest::gather(Topology::line(4), 16).with_schedule(Schedule::GatherLine),
+        ];
+        for request in requests {
+            let (count, len) = request.input_shape().unwrap();
+            let results =
+                executor.run_batch(&[BatchItem::new(request, inputs(count, len as usize))]);
+            assert!(results[0].is_ok(), "{request:?}");
+            let peeked = executor.cached_plan(&request).expect("warm peek hits");
+            let price = request.predicted_cycles(executor.machine()).unwrap();
+            assert_eq!(peeked.predicted_cycles(), price, "{request:?}");
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!
 //! * a [`CollectiveRequest`] describes any collective — `Reduce` /
 //!   `AllReduce` / `Broadcast`, on a 1D [`Topology::Line`] or a 2D
-//!   [`Topology::Grid`], with a vector length, a [`ReduceOp`] and a
-//!   [`Schedule`] that is either an explicit pattern or [`Schedule::Auto`]
-//!   model-driven selection;
+//!   [`Topology::Grid`], with a vector length, a
+//!   [`ReduceOp`](wse_fabric::program::ReduceOp) and a [`Schedule`] that is
+//!   either an explicit pattern or [`Schedule::Auto`] model-driven
+//!   selection;
 //! * an [`Executor`] is the one **execution core**: requests resolve into
 //!   executable [`CollectivePlan`]s through an LRU **plan cache** (`Arc`ed
 //!   plans behind one lock) and run on reset fabrics checked out of a
@@ -82,8 +83,9 @@
 //!   ([`collectives`]; see the table in [`request`]).
 //! * **2D collectives** — the 2D flooding broadcast (§7.1), X-Y Reduce
 //!   (§7.2), Snake Reduce (§7.3) and 2D AllReduce (§7.4).
-//! * **Model-driven selection** — [`Schedule::Auto`] resolves through the
-//!   performance model's structured [`wse_model::Choice`].
+//! * **Model-driven selection** — [`Schedule::Auto`] takes the fixed
+//!   algorithm the performance model predicts fastest, and every resolved
+//!   plan carries the model's price ([`ResolvedPlan::predicted_cycles`]).
 //! * **Measurement methodology** — the clock-synchronised, calibrated timing
 //!   procedure of §8.3, run against simulated clock skew and thermal noise
 //!   ([`measured`]).

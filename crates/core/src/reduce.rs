@@ -48,6 +48,19 @@ impl ReducePattern {
     /// The reduction tree this pattern uses on `p` PEs for vectors of
     /// `vector_len` wavelets.
     pub fn tree(&self, p: usize, vector_len: u32, machine: &Machine) -> ReductionTree {
+        self.tree_from(p, vector_len, machine, &[])
+    }
+
+    /// [`ReducePattern::tree`], taking an Auto-Gen tree from the solver in
+    /// `solvers` built for `p` PEs, if there is one, so that a resolution's
+    /// trees and price come from the same search.
+    pub(crate) fn tree_from(
+        &self,
+        p: usize,
+        vector_len: u32,
+        machine: &Machine,
+        solvers: &[AutogenSolver],
+    ) -> ReductionTree {
         match self {
             Self::Star => ReductionTree::star(p),
             Self::Chain => ReductionTree::chain(p),
@@ -56,7 +69,10 @@ impl ReducePattern {
                 let s = wse_model::costs_1d::two_phase_default_group(p as u64) as usize;
                 ReductionTree::two_phase(p, s)
             }
-            Self::AutoGen => AutogenSolver::new(p as u64).best_tree(vector_len as u64, machine),
+            Self::AutoGen => match solvers.iter().find(|s| s.pes() == p as u64) {
+                Some(solver) => solver.best_tree(vector_len as u64, machine),
+                None => AutogenSolver::new(p as u64).best_tree(vector_len as u64, machine),
+            },
         }
     }
 
@@ -126,9 +142,21 @@ pub fn reduce_1d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
+    reduce_1d_plan_with(pattern, p, vector_len, op, machine, &[])
+}
+
+/// [`reduce_1d_plan`] taking an Auto-Gen tree from `solvers`.
+pub(crate) fn reduce_1d_plan_with(
+    pattern: ReducePattern,
+    p: u32,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &[AutogenSolver],
+) -> CollectivePlan {
     let dim = GridDim::row(p);
     let path = LinePath::row(dim, 0);
-    let tree = pattern.tree(p as usize, vector_len, machine);
+    let tree = pattern.tree_from(p as usize, vector_len, machine, solvers);
     tree_reduce_plan(
         format!("reduce-1d-{}-p{}-b{}", pattern.name(), p, vector_len),
         &path,
@@ -196,6 +224,18 @@ pub fn reduce_2d_plan(
     op: ReduceOp,
     machine: &Machine,
 ) -> CollectivePlan {
+    reduce_2d_plan_with(pattern, dim, vector_len, op, machine, &[])
+}
+
+/// [`reduce_2d_plan`] taking its Auto-Gen trees from `solvers`.
+pub(crate) fn reduce_2d_plan_with(
+    pattern: Reduce2dPattern,
+    dim: GridDim,
+    vector_len: u32,
+    op: ReduceOp,
+    machine: &Machine,
+    solvers: &[AutogenSolver],
+) -> CollectivePlan {
     let mut plan = CollectivePlan::new(
         format!("reduce-2d-{}-{}x{}-b{}", pattern.name(), dim.height, dim.width, vector_len),
         dim,
@@ -212,7 +252,7 @@ pub fn reduce_2d_plan(
             // X phase: reduce every row towards its leftmost PE. Rows are
             // disjoint, so they share the same pair of colors.
             if dim.width > 1 {
-                let row_tree = p1d.tree(dim.width as usize, vector_len, machine);
+                let row_tree = p1d.tree_from(dim.width as usize, vector_len, machine, solvers);
                 for y in 0..dim.height {
                     let path = LinePath::row(dim, y);
                     append_tree_reduce(
@@ -228,7 +268,7 @@ pub fn reduce_2d_plan(
             }
             // Y phase: reduce the first column towards the root.
             if dim.height > 1 {
-                let col_tree = p1d.tree(dim.height as usize, vector_len, machine);
+                let col_tree = p1d.tree_from(dim.height as usize, vector_len, machine, solvers);
                 let path = LinePath::column(dim, 0);
                 append_tree_reduce(&mut plan, &path, &col_tree, vector_len, op, y_colors(), false);
             }

@@ -9,6 +9,18 @@
 //! comparable, which is what lets [`crate::session::Session`] key its plan
 //! cache on them directly.
 //!
+//! # One decision per request
+//!
+//! A private decision step validates a request and maps it to one concrete
+//! algorithm: the explicit [`Schedule`]; for `Auto`, the kind's only
+//! algorithm; or, for `Auto` Reduce and AllReduce, the fixed algorithm
+//! [`wse_model::selection`] predicts fastest. That algorithm alone gives the
+//! plan's name, price and plan: [`CollectiveRequest::check_submission`] needs
+//! only the decision, [`CollectiveRequest::predicted_cycles`] adds the price
+//! and [`CollectiveRequest::resolve`] the plan. An `Auto` pick and the
+//! explicit schedule of the same algorithm therefore report the same pattern
+//! name (e.g. "Two-Phase+Bcast") and price.
+//!
 //! # The collective suite
 //!
 //! Every [`CollectiveKind`] maps to a paper-grounded phase decomposition
@@ -38,11 +50,10 @@
 use wse_fabric::geometry::{Coord, GridDim};
 use wse_fabric::program::ReduceOp;
 use wse_fabric::wavelet::Color;
-use wse_model::selection::{self, ChosenAlgorithm};
-use wse_model::Machine;
+use wse_model::{costs_1d, costs_2d, selection, AutogenSolver, Machine};
 
 use crate::allreduce::{
-    allreduce_1d_plan, allreduce_2d_plan, xy_allreduce_2d_plan, AllReducePattern,
+    allreduce_1d_plan_with, broadcast_2d_result, xy_allreduce_2d_plan_with, AllReducePattern,
 };
 use crate::broadcast::{flood_broadcast_2d_plan, flood_broadcast_plan};
 use crate::collectives::{
@@ -53,7 +64,7 @@ use crate::error::CollectiveError;
 use crate::path::LinePath;
 use crate::plan::CollectivePlan;
 use crate::reduce::{
-    reduce_1d_plan, reduce_2d_plan, Reduce2dPattern, ReducePattern, BROADCAST_COLOR,
+    reduce_1d_plan_with, reduce_2d_plan_with, Reduce2dPattern, ReducePattern, BROADCAST_COLOR,
 };
 
 /// An opaque tenant identity for per-tenant admission budgets.
@@ -306,101 +317,53 @@ impl CollectiveRequest {
 
     /// Check the request's parameters without building a plan.
     pub fn validate(&self) -> Result<(), CollectiveError> {
-        if self.vector_len == 0 {
-            return Err(CollectiveError::InvalidRequest {
-                reason: "collectives operate on at least one wavelet".into(),
-            });
+        use CollectiveKind as K;
+        let invalid = |reason: String| Err(CollectiveError::InvalidRequest { reason });
+        let (kind, b) = (self.kind, self.vector_len);
+        if b == 0 {
+            return invalid("collectives operate on at least one wavelet".into());
         }
         match self.topology {
-            Topology::Line(0) => {
-                return Err(CollectiveError::InvalidRequest {
-                    reason: "a line topology needs at least one PE".into(),
-                })
-            }
+            Topology::Line(0) => return invalid("a line topology needs at least one PE".into()),
             Topology::Grid(dim) if dim.num_pes() == 0 => {
-                return Err(CollectiveError::InvalidRequest {
-                    reason: "a grid topology needs at least one PE".into(),
-                })
+                return invalid("a grid topology needs at least one PE".into())
             }
             _ => {}
         }
         if self.root != Coord::new(0, 0) {
-            return Err(CollectiveError::InvalidRequest {
-                reason: format!("only the canonical root (0, 0) is supported, got {}", self.root),
-            });
+            return invalid(format!(
+                "only the canonical root (0, 0) is supported, got {}",
+                self.root
+            ));
         }
-        if matches!(
-            self.kind,
-            CollectiveKind::ReduceScatter
-                | CollectiveKind::AllGather
-                | CollectiveKind::Gather
-                | CollectiveKind::Scatter
-                | CollectiveKind::AllToAll
-        ) {
+        if matches!(kind, K::ReduceScatter | K::AllGather | K::Gather | K::Scatter | K::AllToAll) {
             let Topology::Line(p) = self.topology else {
-                return Err(CollectiveError::InvalidRequest {
-                    reason: format!("{:?} is only implemented on 1D lines", self.kind),
-                });
+                return invalid(format!("{kind:?} is only implemented on 1D lines"));
             };
             if p < 2 {
-                return Err(CollectiveError::InvalidRequest {
-                    reason: format!("{:?} needs at least two PEs", self.kind),
-                });
+                return invalid(format!("{kind:?} needs at least two PEs"));
             }
-            if !self.vector_len.is_multiple_of(p) {
-                return Err(CollectiveError::InvalidRequest {
-                    reason: format!(
-                        "{:?} requires the vector length ({}) to be divisible by the PE \
-                         count ({p})",
-                        self.kind, self.vector_len
-                    ),
-                });
+            if !b.is_multiple_of(p) {
+                return invalid(format!(
+                    "{kind:?} requires the vector length ({b}) to be divisible by the PE count \
+                     ({p})"
+                ));
             }
         }
-        if self.kind == CollectiveKind::AllReduce {
-            if let (Topology::Line(p), Schedule::AllReduce1d(AllReducePattern::Ring)) =
-                (self.topology, self.schedule)
-            {
-                if p >= 2 && !self.vector_len.is_multiple_of(p) {
-                    return Err(CollectiveError::InvalidRequest {
-                        reason: format!(
-                            "the ring all-reduce requires the vector length ({}) to be \
-                             divisible by the PE count ({p})",
-                            self.vector_len
-                        ),
-                    });
-                }
-                if p < 2 {
-                    return Err(CollectiveError::InvalidRequest {
-                        reason: "the ring needs at least two PEs".into(),
-                    });
-                }
+        if let (K::AllReduce, Topology::Line(p), Schedule::AllReduce1d(AllReducePattern::Ring)) =
+            (kind, self.topology, self.schedule)
+        {
+            if p < 2 {
+                return invalid("the ring needs at least two PEs".into());
+            }
+            if !b.is_multiple_of(p) {
+                return invalid(format!(
+                    "the ring all-reduce requires the vector length ({b}) to be divisible by \
+                     the PE count ({p})"
+                ));
             }
         }
         Ok(())
-    }
-
-    /// Whether the request's schedule can realise its kind on its topology —
-    /// the plan-free mirror of the [`CollectiveRequest::resolve`] match. An
-    /// exhaustive test pins the two against each other across every
-    /// kind × topology × schedule combination.
-    fn schedule_fits(&self) -> bool {
-        use CollectiveKind as K;
-        use Schedule as S;
-        use Topology as T;
-        matches!(
-            (self.kind, self.topology, self.schedule),
-            (K::Reduce, T::Line(_), S::Auto | S::Reduce1d(_))
-                | (K::Reduce, T::Grid(_), S::Auto | S::Reduce2d(_))
-                | (K::AllReduce, T::Line(_), S::Auto | S::AllReduce1d(_))
-                | (K::AllReduce, T::Grid(_), S::Auto | S::AllReduce2d(_) | S::AllReduceXy(_))
-                | (K::Broadcast, _, S::Auto)
-                | (K::ReduceScatter, T::Line(_), S::Auto | S::ReduceScatterRing)
-                | (K::AllGather, T::Line(_), S::Auto | S::AllGatherRing)
-                | (K::Gather, T::Line(_), S::Auto | S::GatherLine)
-                | (K::Scatter, T::Line(_), S::Auto | S::ScatterLine)
-                | (K::AllToAll, T::Line(_), S::Auto | S::AllToAllRotate)
-        )
     }
 
     /// The request's input contract without building a plan: how many input
@@ -410,8 +373,12 @@ impl CollectiveRequest {
     /// Validates the request first, so the shard division below is exact.
     pub fn input_shape(&self) -> Result<(usize, u32), CollectiveError> {
         self.validate()?;
+        Ok(self.shape())
+    }
+
+    fn shape(&self) -> (usize, u32) {
         let p = self.topology.num_pes();
-        Ok(match self.kind {
+        match self.kind {
             // Rooted single-source kinds: one full vector at the root.
             CollectiveKind::Broadcast | CollectiveKind::Scatter => (1, self.vector_len),
             // Sharded-input kinds: one chunk per PE (validate() guarantees
@@ -422,7 +389,7 @@ impl CollectiveRequest {
             | CollectiveKind::AllReduce
             | CollectiveKind::ReduceScatter
             | CollectiveKind::AllToAll => (p, self.vector_len),
-        })
+        }
     }
 
     /// Check, **without building a plan**, whether this request and these
@@ -435,18 +402,11 @@ impl CollectiveRequest {
     /// This is the admission layer's validity oracle: the serving front-end
     /// must know *at submission time* whether an item will consume a
     /// noise-run index — exactly the items a [`crate::session::Session`]
-    /// would execute — and it must know without paying for plan generation
-    /// on the submit path.
+    /// would execute — and it must know without paying for plan generation,
+    /// or even for the model, on the submit path.
     pub fn check_submission(&self, inputs: &[Vec<f32>]) -> Result<(), CollectiveError> {
-        self.validate()?;
-        if !self.schedule_fits() {
-            return Err(CollectiveError::ScheduleMismatch {
-                kind: self.kind,
-                topology: self.topology,
-                schedule: self.schedule,
-            });
-        }
-        let (count, len) = self.input_shape()?;
+        self.decide()?;
+        let (count, len) = self.shape();
         if inputs.len() != count {
             return Err(CollectiveError::InputCountMismatch { expected: count, got: inputs.len() });
         }
@@ -466,312 +426,246 @@ impl CollectiveRequest {
     /// building a plan** — the pure §1.3 "model" step, cheap enough for a
     /// serving submit path.
     ///
-    /// [`Schedule::Auto`] returns the same prediction the resolved plan
-    /// would carry ([`ResolvedPlan::predicted_cycles`]); explicit schedules
-    /// are priced via their model-side algorithm, so cost-aware scheduling
-    /// covers them too (a resolved explicit plan records no choice). Invalid
+    /// This is exactly the price the resolved plan records
+    /// ([`ResolvedPlan::predicted_cycles`]), for every schedule. Invalid
     /// requests and mismatched schedules return the same typed errors as
     /// [`CollectiveRequest::resolve`].
     pub fn predicted_cycles(&self, machine: &Machine) -> Result<f64, CollectiveError> {
-        self.validate()?;
-        if !self.schedule_fits() {
-            return Err(CollectiveError::ScheduleMismatch {
-                kind: self.kind,
-                topology: self.topology,
-                schedule: self.schedule,
-            });
-        }
-        let b = self.vector_len as u64;
-        Ok(match (self.kind, self.topology, self.schedule) {
-            (CollectiveKind::Reduce, Topology::Line(p), schedule) => match schedule {
-                Schedule::Reduce1d(pattern) => {
-                    pattern.model_algorithm().cycles(p as u64, b, machine, None)
-                }
-                _ => selection::choose_reduce_1d(p as u64, b, machine).predicted_cycles,
-            },
-            (CollectiveKind::Reduce, Topology::Grid(dim), schedule) => {
-                let (m, n) = (dim.height as u64, dim.width as u64);
-                match schedule {
-                    Schedule::Reduce2d(pattern) => {
-                        pattern.model_algorithm().cycles(m, n, b, machine, None, None)
-                    }
-                    _ => selection::choose_reduce_2d(m, n, b, machine).predicted_cycles,
-                }
-            }
-            (CollectiveKind::AllReduce, Topology::Line(p), schedule) => match schedule {
-                Schedule::AllReduce1d(pattern) => {
-                    pattern.model_algorithm().cycles(p as u64, b, machine, None)
-                }
-                _ => selection::choose_allreduce_1d(p as u64, b, machine).predicted_cycles,
-            },
-            (CollectiveKind::AllReduce, Topology::Grid(dim), schedule) => {
-                let (m, n) = (dim.height as u64, dim.width as u64);
-                match schedule {
-                    Schedule::AllReduce2d(pattern) => {
-                        pattern.model_algorithm().allreduce_cycles(m, n, b, machine, None, None)
-                    }
-                    Schedule::AllReduceXy(pattern) => {
-                        // Per-axis Reduce-then-Broadcast with the given 1D
-                        // pattern (§7.4), including Auto-Gen phases (which
-                        // the fixed-phase `costs_2d::xy_allreduce` excludes).
-                        let alg = pattern.model_algorithm();
-                        let x = alg.cycles(n, b, machine, None);
-                        let y = alg.cycles(m, b, machine, None);
-                        wse_model::costs_1d::reduce_then_broadcast(x, n, b, machine)
-                            + wse_model::costs_1d::reduce_then_broadcast(y, m, b, machine)
-                    }
-                    _ => selection::choose_allreduce_2d(m, n, b, machine).predicted_cycles,
-                }
-            }
-            (CollectiveKind::Broadcast, Topology::Line(p), _) => {
-                selection::choose_broadcast_1d(p as u64, b, machine).predicted_cycles
-            }
-            (CollectiveKind::Broadcast, Topology::Grid(dim), _) => {
-                selection::choose_broadcast_2d(dim.height as u64, dim.width as u64, b, machine)
-                    .predicted_cycles
-            }
-            (CollectiveKind::ReduceScatter, Topology::Line(p), _) => {
-                selection::choose_reduce_scatter_1d(p as u64, b, machine).predicted_cycles
-            }
-            (CollectiveKind::AllGather, Topology::Line(p), _) => {
-                selection::choose_allgather_1d(p as u64, b, machine).predicted_cycles
-            }
-            (CollectiveKind::Gather, Topology::Line(p), _) => {
-                selection::choose_gather_1d(p as u64, b, machine).predicted_cycles
-            }
-            (CollectiveKind::Scatter, Topology::Line(p), _) => {
-                selection::choose_scatter_1d(p as u64, b, machine).predicted_cycles
-            }
-            (CollectiveKind::AllToAll, Topology::Line(p), _) => {
-                selection::choose_all_to_all_1d(p as u64, b, machine).predicted_cycles
-            }
-            (
-                CollectiveKind::ReduceScatter
-                | CollectiveKind::AllGather
-                | CollectiveKind::Gather
-                | CollectiveKind::Scatter
-                | CollectiveKind::AllToAll,
-                Topology::Grid(_),
-                _,
-            ) => unreachable!("validate() rejects suite kinds on grid topologies"),
+        let algorithm = self.decide()?.settle(self, machine);
+        Ok(algorithm.cycles(self, machine, &algorithm.solvers(self)))
+    }
+
+    /// Resolve the request into an executable plan (uncached), named and
+    /// priced. Sessions call this through their plan cache — prefer
+    /// [`crate::session::Session::plan`] when resolving repeatedly.
+    pub fn resolve(&self, machine: &Machine) -> Result<ResolvedPlan, CollectiveError> {
+        let algorithm = self.decide()?.settle(self, machine);
+        let solvers = algorithm.solvers(self);
+        Ok(ResolvedPlan {
+            plan: algorithm.plan(self, machine, &solvers),
+            algorithm: algorithm.name(),
+            predicted_cycles: algorithm.cycles(self, machine, &solvers),
         })
     }
 
-    /// Resolve the request into an executable plan (uncached).
-    ///
-    /// [`Schedule::Auto`] requests consult the performance model
-    /// ([`wse_model::selection`]) and record the model's structured
-    /// [`wse_model::Choice`]; explicit schedules go straight to the plan
-    /// builders. Sessions call this through their plan cache — prefer
-    /// [`crate::session::Session::plan`] when resolving repeatedly.
-    pub fn resolve(&self, machine: &Machine) -> Result<ResolvedPlan, CollectiveError> {
+    /// The decision step (see the [module docs](self)): validate, then map
+    /// the request to the algorithm it runs. The one match over kind,
+    /// topology and schedule; it needs no model.
+    fn decide(&self) -> Result<Decision, CollectiveError> {
+        use Algorithm as A;
+        use CollectiveKind as K;
+        use Decision::Fixed;
+        use Schedule as S;
+        use Topology as T;
         self.validate()?;
-        let mismatch = || CollectiveError::ScheduleMismatch {
-            kind: self.kind,
-            topology: self.topology,
-            schedule: self.schedule,
-        };
-        let b = self.vector_len;
-        match (self.kind, self.topology) {
-            (CollectiveKind::Reduce, Topology::Line(p)) => match self.schedule {
-                Schedule::Auto => {
-                    let choice = selection::choose_reduce_1d(p as u64, b as u64, machine);
-                    let ChosenAlgorithm::Reduce1d(alg) = choice.algorithm else {
-                        unreachable!("choose_reduce_1d returns a 1D Reduce algorithm");
-                    };
-                    let pattern = ReducePattern::from_model(alg);
-                    Ok(ResolvedPlan::auto(reduce_1d_plan(pattern, p, b, self.op, machine), choice))
-                }
-                Schedule::Reduce1d(pattern) => Ok(ResolvedPlan::explicit(
-                    reduce_1d_plan(pattern, p, b, self.op, machine),
-                    pattern.name(),
-                )),
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::Reduce, Topology::Grid(dim)) => match self.schedule {
-                Schedule::Auto => {
-                    let choice = selection::choose_reduce_2d(
-                        dim.height as u64,
-                        dim.width as u64,
-                        b as u64,
-                        machine,
-                    );
-                    let ChosenAlgorithm::Reduce2d(alg) = choice.algorithm else {
-                        unreachable!("choose_reduce_2d returns a 2D Reduce algorithm");
-                    };
-                    let pattern = Reduce2dPattern::from_model(alg);
-                    Ok(ResolvedPlan::auto(
-                        reduce_2d_plan(pattern, dim, b, self.op, machine),
-                        choice,
-                    ))
-                }
-                Schedule::Reduce2d(pattern) => Ok(ResolvedPlan::explicit(
-                    reduce_2d_plan(pattern, dim, b, self.op, machine),
-                    pattern.name(),
-                )),
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::AllReduce, Topology::Line(p)) => match self.schedule {
-                Schedule::Auto => {
-                    let choice = selection::choose_allreduce_1d(p as u64, b as u64, machine);
-                    let ChosenAlgorithm::AllReduce1d(alg) = choice.algorithm else {
-                        unreachable!("choose_allreduce_1d returns a 1D AllReduce algorithm");
-                    };
-                    let pattern = AllReducePattern::from_model(alg);
-                    // The ring requires the vector to split evenly over the
-                    // PEs; fall back to the best reduce-then-broadcast plan
-                    // otherwise (the model still reports its original choice).
-                    let pattern = match pattern {
-                        AllReducePattern::Ring if p < 2 || !b.is_multiple_of(p) => {
-                            AllReducePattern::ReduceBroadcast(ReducePattern::AutoGen)
-                        }
-                        other => other,
-                    };
-                    Ok(ResolvedPlan::auto(
-                        allreduce_1d_plan(pattern, p, b, self.op, machine),
-                        choice,
-                    ))
-                }
-                Schedule::AllReduce1d(pattern) => Ok(ResolvedPlan::explicit(
-                    allreduce_1d_plan(pattern, p, b, self.op, machine),
-                    pattern.name(),
-                )),
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::AllReduce, Topology::Grid(dim)) => match self.schedule {
-                Schedule::Auto => {
-                    let choice = selection::choose_allreduce_2d(
-                        dim.height as u64,
-                        dim.width as u64,
-                        b as u64,
-                        machine,
-                    );
-                    let ChosenAlgorithm::AllReduce2d(alg) = choice.algorithm else {
-                        unreachable!("choose_allreduce_2d returns a 2D algorithm");
-                    };
-                    let pattern = Reduce2dPattern::from_model(alg);
-                    Ok(ResolvedPlan::auto(
-                        allreduce_2d_plan(pattern, dim, b, self.op, machine),
-                        choice,
-                    ))
-                }
-                Schedule::AllReduce2d(pattern) => Ok(ResolvedPlan::explicit(
-                    allreduce_2d_plan(pattern, dim, b, self.op, machine),
-                    pattern.name(),
-                )),
-                Schedule::AllReduceXy(pattern) => Ok(ResolvedPlan::explicit(
-                    xy_allreduce_2d_plan(pattern, dim, b, self.op, machine),
-                    format!("X-Y AllReduce {}", pattern.name()),
-                )),
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::Broadcast, Topology::Line(p)) => match self.schedule {
-                Schedule::Auto => {
-                    let path = LinePath::row(GridDim::row(p), 0);
-                    Ok(ResolvedPlan::explicit(
-                        flood_broadcast_plan(&path, b, Color::new(BROADCAST_COLOR)),
-                        "Flood",
-                    ))
-                }
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::Broadcast, Topology::Grid(dim)) => match self.schedule {
-                Schedule::Auto => Ok(ResolvedPlan::explicit(
-                    flood_broadcast_2d_plan(dim, b, Color::new(BROADCAST_COLOR)),
-                    "2D Flood",
-                )),
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::ReduceScatter, Topology::Line(p)) => match self.schedule {
-                Schedule::Auto => Ok(ResolvedPlan::auto(
-                    reduce_scatter_ring_plan(p, b, self.op),
-                    selection::choose_reduce_scatter_1d(p as u64, b as u64, machine),
-                )),
-                Schedule::ReduceScatterRing => Ok(ResolvedPlan::explicit(
-                    reduce_scatter_ring_plan(p, b, self.op),
-                    "Ring-ReduceScatter",
-                )),
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::AllGather, Topology::Line(p)) => match self.schedule {
-                Schedule::Auto => Ok(ResolvedPlan::auto(
-                    allgather_ring_plan(p, b),
-                    selection::choose_allgather_1d(p as u64, b as u64, machine),
-                )),
-                Schedule::AllGatherRing => {
-                    Ok(ResolvedPlan::explicit(allgather_ring_plan(p, b), "Ring-AllGather"))
-                }
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::Gather, Topology::Line(p)) => match self.schedule {
-                Schedule::Auto => Ok(ResolvedPlan::auto(
-                    gather_line_plan(p, b),
-                    selection::choose_gather_1d(p as u64, b as u64, machine),
-                )),
-                Schedule::GatherLine => {
-                    Ok(ResolvedPlan::explicit(gather_line_plan(p, b), "Line-Gather"))
-                }
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::Scatter, Topology::Line(p)) => match self.schedule {
-                Schedule::Auto => Ok(ResolvedPlan::auto(
-                    scatter_line_plan(p, b),
-                    selection::choose_scatter_1d(p as u64, b as u64, machine),
-                )),
-                Schedule::ScatterLine => {
-                    Ok(ResolvedPlan::explicit(scatter_line_plan(p, b), "Line-Scatter"))
-                }
-                _ => Err(mismatch()),
-            },
-            (CollectiveKind::AllToAll, Topology::Line(p)) => match self.schedule {
-                Schedule::Auto => Ok(ResolvedPlan::auto(
-                    all_to_all_rotate_plan(p, b),
-                    selection::choose_all_to_all_1d(p as u64, b as u64, machine),
-                )),
-                Schedule::AllToAllRotate => {
-                    Ok(ResolvedPlan::explicit(all_to_all_rotate_plan(p, b), "Rotate-AllToAll"))
-                }
-                _ => Err(mismatch()),
-            },
-            (
-                CollectiveKind::ReduceScatter
-                | CollectiveKind::AllGather
-                | CollectiveKind::Gather
-                | CollectiveKind::Scatter
-                | CollectiveKind::AllToAll,
-                Topology::Grid(_),
-            ) => {
-                unreachable!("validate() rejects suite kinds on grid topologies")
+        Ok(match (self.kind, self.topology, self.schedule) {
+            (K::Reduce, T::Line(_), S::Auto) => Decision::Reduce1d,
+            (K::Reduce, T::Grid(_), S::Auto) => Decision::Reduce2d,
+            (K::AllReduce, T::Line(_), S::Auto) => Decision::AllReduce1d,
+            (K::AllReduce, T::Grid(_), S::Auto) => Decision::AllReduce2d,
+            (K::Reduce, T::Line(_), S::Reduce1d(pattern)) => Fixed(A::Reduce1d(pattern)),
+            (K::Reduce, T::Grid(_), S::Reduce2d(pattern)) => Fixed(A::Reduce2d(pattern)),
+            (K::AllReduce, T::Line(_), S::AllReduce1d(pattern)) => Fixed(A::AllReduce1d(pattern)),
+            (K::AllReduce, T::Grid(_), S::AllReduce2d(pattern)) => Fixed(A::AllReduce2d(pattern)),
+            (K::AllReduce, T::Grid(_), S::AllReduceXy(pattern)) => Fixed(A::AllReduceXy(pattern)),
+            (K::Broadcast, T::Line(_), S::Auto) => Fixed(A::Flood1d),
+            (K::Broadcast, T::Grid(_), S::Auto) => Fixed(A::Flood2d),
+            (K::ReduceScatter, T::Line(_), S::Auto | S::ReduceScatterRing) => Fixed(A::RingRs),
+            (K::AllGather, T::Line(_), S::Auto | S::AllGatherRing) => Fixed(A::RingAg),
+            (K::Gather, T::Line(_), S::Auto | S::GatherLine) => Fixed(A::LineGather),
+            (K::Scatter, T::Line(_), S::Auto | S::ScatterLine) => Fixed(A::LineScatter),
+            (K::AllToAll, T::Line(_), S::Auto | S::AllToAllRotate) => Fixed(A::RotateAllToAll),
+            (kind, topology, schedule) => {
+                return Err(CollectiveError::ScheduleMismatch { kind, topology, schedule })
             }
+        })
+    }
+}
+
+/// What the decision step knows without the model: the algorithm itself, or
+/// which of the four contested `Auto` cases the model settles.
+#[derive(Debug, Clone, Copy)]
+enum Decision {
+    Fixed(Algorithm),
+    Reduce1d,
+    Reduce2d,
+    AllReduce1d,
+    AllReduce2d,
+}
+
+impl Decision {
+    /// The algorithm to run: a contested case takes the fixed algorithm the
+    /// model predicts fastest (the regions of Figures 8, 10 and 13).
+    fn settle(self, req: &CollectiveRequest, machine: &Machine) -> Algorithm {
+        let dim = req.topology.dim();
+        let (m, n, b) = (dim.height as u64, dim.width as u64, req.vector_len as u64);
+        match self {
+            Self::Fixed(algorithm) => algorithm,
+            Self::Reduce1d => Algorithm::Reduce1d(ReducePattern::from_model(
+                selection::best_fixed_reduce_1d(n, b, machine).algorithm,
+            )),
+            Self::Reduce2d => Algorithm::Reduce2d(Reduce2dPattern::from_model(
+                selection::best_fixed_reduce_2d(m, n, b, machine).algorithm,
+            )),
+            Self::AllReduce1d => Algorithm::AllReduce1d(
+                match AllReducePattern::from_model(
+                    selection::best_fixed_allreduce_1d(n, b, machine).algorithm,
+                ) {
+                    // The ring needs the vector to split evenly over the PEs;
+                    // otherwise the Auto-Gen reduce-then-broadcast runs, and
+                    // is what the plan is named and priced as.
+                    AllReducePattern::Ring if n < 2 || !b.is_multiple_of(n) => {
+                        AllReducePattern::ReduceBroadcast(ReducePattern::AutoGen)
+                    }
+                    pattern => pattern,
+                },
+            ),
+            Self::AllReduce2d => Algorithm::AllReduce2d(Reduce2dPattern::from_model(
+                selection::best_fixed_allreduce_2d(m, n, b, machine).algorithm,
+            )),
         }
     }
 }
 
-/// The output of resolving a request: the executable plan plus how it was
-/// chosen.
+/// A concrete algorithm for a request's topology. Its methods are the one
+/// source of a resolved plan's name, price and plan.
+#[derive(Debug, Clone, Copy)]
+enum Algorithm {
+    Reduce1d(ReducePattern),
+    Reduce2d(Reduce2dPattern),
+    AllReduce1d(AllReducePattern),
+    AllReduce2d(Reduce2dPattern),
+    AllReduceXy(ReducePattern),
+    Flood1d,
+    Flood2d,
+    RingRs,
+    RingAg,
+    LineGather,
+    LineScatter,
+    RotateAllToAll,
+}
+
+impl Algorithm {
+    fn name(&self) -> String {
+        match *self {
+            Self::Reduce1d(pattern) => pattern.name().into(),
+            Self::Reduce2d(pattern) | Self::AllReduce2d(pattern) => pattern.name(),
+            Self::AllReduce1d(pattern) => pattern.name().into(),
+            Self::AllReduceXy(pattern) => format!("X-Y AllReduce {}", pattern.name()),
+            Self::Flood1d => "Flood".into(),
+            Self::Flood2d => "2D Flood".into(),
+            Self::RingRs => "Ring-ReduceScatter".into(),
+            Self::RingAg => "Ring-AllGather".into(),
+            Self::LineGather => "Line-Gather".into(),
+            Self::LineScatter => "Line-Scatter".into(),
+            Self::RotateAllToAll => "Rotate-AllToAll".into(),
+        }
+    }
+
+    /// The Auto-Gen solvers the trees and the price share: one per distinct
+    /// axis length when a phase is Auto-Gen, none otherwise.
+    fn solvers(&self, req: &CollectiveRequest) -> Vec<AutogenSolver> {
+        use ReducePattern::AutoGen;
+        match *self {
+            Self::Reduce1d(AutoGen)
+            | Self::AllReduce1d(AllReducePattern::ReduceBroadcast(AutoGen))
+            | Self::Reduce2d(Reduce2dPattern::Xy(AutoGen))
+            | Self::AllReduce2d(Reduce2dPattern::Xy(AutoGen))
+            | Self::AllReduceXy(AutoGen) => {
+                let dim = req.topology.dim();
+                let mut lines = vec![dim.width, dim.height];
+                lines.dedup();
+                lines.into_iter().map(|p| AutogenSolver::new(p as u64)).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// The model's predicted runtime in cycles.
+    fn cycles(&self, req: &CollectiveRequest, machine: &Machine, solvers: &[AutogenSolver]) -> f64 {
+        // An `m × n` grid; a line of `n` PEs is a one-row grid.
+        let dim = req.topology.dim();
+        let (m, n, b) = (dim.height as u64, dim.width as u64, req.vector_len as u64);
+        let solver = |p: u64| solvers.iter().find(|s| s.pes() == p);
+        let (row, column) = (solver(n), solver(m));
+        match *self {
+            Self::Reduce1d(pattern) => pattern.model_algorithm().cycles(n, b, machine, row),
+            Self::Reduce2d(pattern) => {
+                pattern.model_algorithm().cycles(m, n, b, machine, row, column)
+            }
+            Self::AllReduce1d(pattern) => pattern.model_algorithm().cycles(n, b, machine, row),
+            Self::AllReduce2d(pattern) => {
+                pattern.model_algorithm().allreduce_cycles(m, n, b, machine, row, column)
+            }
+            Self::AllReduceXy(pattern) => {
+                // Per-axis Reduce-then-Broadcast with the given 1D pattern
+                // (§7.4), including Auto-Gen phases (which the fixed-phase
+                // `costs_2d::xy_allreduce` excludes).
+                let alg = pattern.model_algorithm();
+                let x = alg.cycles(n, b, machine, row);
+                let y = alg.cycles(m, b, machine, column);
+                costs_1d::reduce_then_broadcast(x, n, b, machine)
+                    + costs_1d::reduce_then_broadcast(y, m, b, machine)
+            }
+            Self::Flood1d => costs_1d::broadcast(n, b).predict(machine),
+            Self::Flood2d => costs_2d::broadcast_2d(m, n, b).predict(machine),
+            Self::RingRs => costs_1d::ring_reduce_scatter(n, b).predict(machine),
+            Self::RingAg => costs_1d::ring_allgather(n, b).predict(machine),
+            Self::LineGather => costs_1d::line_gather(n, b).predict(machine),
+            Self::LineScatter => costs_1d::line_scatter(n, b).predict(machine),
+            Self::RotateAllToAll => costs_1d::rotate_all_to_all(n, b).predict(machine),
+        }
+    }
+
+    fn plan(
+        &self,
+        req: &CollectiveRequest,
+        machine: &Machine,
+        solvers: &[AutogenSolver],
+    ) -> CollectivePlan {
+        let (dim, b, op) = (req.topology.dim(), req.vector_len, req.op);
+        let p = dim.width;
+        let bcast = Color::new(BROADCAST_COLOR);
+        match *self {
+            Self::Reduce1d(pattern) => reduce_1d_plan_with(pattern, p, b, op, machine, solvers),
+            Self::Reduce2d(pattern) => reduce_2d_plan_with(pattern, dim, b, op, machine, solvers),
+            Self::AllReduce1d(pattern) => {
+                allreduce_1d_plan_with(pattern, p, b, op, machine, solvers)
+            }
+            Self::AllReduce2d(pattern) => {
+                broadcast_2d_result(reduce_2d_plan_with(pattern, dim, b, op, machine, solvers))
+            }
+            Self::AllReduceXy(pattern) => {
+                xy_allreduce_2d_plan_with(pattern, dim, b, op, machine, solvers)
+            }
+            Self::Flood1d => flood_broadcast_plan(&LinePath::row(dim, 0), b, bcast),
+            Self::Flood2d => flood_broadcast_2d_plan(dim, b, bcast),
+            Self::RingRs => reduce_scatter_ring_plan(p, b, op),
+            Self::RingAg => allgather_ring_plan(p, b),
+            Self::LineGather => gather_line_plan(p, b),
+            Self::LineScatter => scatter_line_plan(p, b),
+            Self::RotateAllToAll => all_to_all_rotate_plan(p, b),
+        }
+    }
+}
+
+/// The output of resolving a request: the executable plan, the algorithm it
+/// realises and the model's price for it.
 #[derive(Debug, Clone)]
 pub struct ResolvedPlan {
     /// The executable plan.
     pub plan: CollectivePlan,
-    /// Name of the algorithm realised by the plan (for explicit schedules)
-    /// or chosen by the model (for `Auto`).
+    /// Name of the algorithm the plan realises — the same whether the
+    /// schedule named it or `Auto` picked it.
     pub algorithm: String,
-    /// The model's structured choice, present for `Auto` schedules.
-    pub choice: Option<wse_model::Choice>,
+    predicted_cycles: f64,
 }
 
 impl ResolvedPlan {
-    fn explicit(plan: CollectivePlan, algorithm: impl Into<String>) -> Self {
-        ResolvedPlan { plan, algorithm: algorithm.into(), choice: None }
-    }
-
-    fn auto(plan: CollectivePlan, choice: wse_model::Choice) -> Self {
-        ResolvedPlan { plan, algorithm: choice.algorithm.name().to_string(), choice: Some(choice) }
-    }
-
-    /// The model's predicted runtime in cycles, when the schedule was `Auto`.
-    pub fn predicted_cycles(&self) -> Option<f64> {
-        self.choice.map(|c| c.predicted_cycles)
+    /// The model's predicted runtime of the plan in cycles: what
+    /// [`CollectiveRequest::predicted_cycles`] returns for the request.
+    pub fn predicted_cycles(&self) -> f64 {
+        self.predicted_cycles
     }
 }
 
@@ -813,7 +707,7 @@ mod tests {
         ];
         for request in cases {
             let resolved = request.resolve(&m).expect("auto requests resolve");
-            assert!(resolved.choice.is_some(), "{request:?} should carry a model choice");
+            assert!(resolved.predicted_cycles() > 0.0, "{request:?} should carry a model price");
             let data = inputs(request.topology.num_pes(), request.vector_len as usize);
             let outcome = run_plan(&resolved.plan, &data, &RunConfig::default()).unwrap();
             assert_outputs_close(&outcome, &expected_reduce(&data, request.op), 1e-4);
@@ -831,7 +725,7 @@ mod tests {
 
         let rs = CollectiveRequest::reduce_scatter(Topology::line(p), b).resolve(&m).unwrap();
         assert_eq!(rs.algorithm, "Ring-ReduceScatter");
-        assert!(rs.choice.is_some());
+        assert!(rs.predicted_cycles() > 0.0);
         let outcome = run_plan(&rs.plan, &full, &RunConfig::default()).unwrap();
         let reduced = expected_reduce(&full, ReduceOp::Sum);
         for (x, (_, shard)) in outcome.outputs.iter().enumerate() {
@@ -926,7 +820,7 @@ mod tests {
             .with_schedule(Schedule::Reduce1d(ReducePattern::TwoPhase));
         let resolved = request.resolve(&m).unwrap();
         assert_eq!(resolved.algorithm, "Two-Phase");
-        assert!(resolved.choice.is_none());
+        assert_eq!(resolved.predicted_cycles(), request.predicted_cycles(&m).unwrap());
         assert!(resolved.plan.name().contains("Two-Phase"));
     }
 
@@ -968,13 +862,106 @@ mod tests {
     #[test]
     fn auto_ring_choice_falls_back_when_indivisible() {
         let m = machine();
-        // b = 4098 is not divisible by p = 4; the model may pick the ring but
-        // the resolved plan must still be runnable.
+        // b = 4098 is not divisible by p = 4; the model picks the ring but
+        // the resolved plan must still be runnable, and is named and priced
+        // as the Auto-Gen+Bcast plan it runs.
         let request = CollectiveRequest::allreduce(Topology::line(4), 4098);
         let resolved = request.resolve(&m).unwrap();
+        assert_eq!(resolved.algorithm, "Auto-Gen+Bcast");
+        let explicit = request.with_schedule(Schedule::AllReduce1d(
+            AllReducePattern::ReduceBroadcast(ReducePattern::AutoGen),
+        ));
+        assert_eq!(resolved.predicted_cycles(), explicit.predicted_cycles(&m).unwrap());
+        assert_eq!(request.predicted_cycles(&m).unwrap(), resolved.predicted_cycles());
         let data = inputs(4, 4098);
         let outcome = run_plan(&resolved.plan, &data, &RunConfig::default()).unwrap();
         assert_outputs_close(&outcome, &expected_reduce(&data, ReduceOp::Sum), 1e-3);
+    }
+
+    #[test]
+    fn auto_picks_follow_the_model_regions() {
+        let m = machine();
+        // (request, the pick's name, the model's best price for the shape)
+        let cases = [
+            (
+                CollectiveRequest::reduce(Topology::line(256), 256),
+                "Two-Phase",
+                selection::best_fixed_reduce_1d(256, 256, &m).cycles,
+            ),
+            (
+                CollectiveRequest::allreduce(Topology::line(4), 8192),
+                "Ring",
+                selection::best_fixed_allreduce_1d(4, 8192, &m).cycles,
+            ),
+            (
+                CollectiveRequest::reduce(Topology::grid(4, 4), 4096),
+                "Snake",
+                selection::best_fixed_reduce_2d(4, 4, 4096, &m).cycles,
+            ),
+            (
+                CollectiveRequest::allreduce(Topology::grid(16, 16), 32),
+                "X-Y Two-Phase",
+                selection::best_fixed_allreduce_2d(16, 16, 32, &m).cycles,
+            ),
+        ];
+        for (request, name, best) in cases {
+            let resolved = request.resolve(&m).unwrap();
+            assert_eq!(resolved.algorithm, name, "{request:?}");
+            assert_eq!(resolved.predicted_cycles(), best, "{request:?}");
+            assert_eq!(request.predicted_cycles(&m).unwrap(), best, "{request:?}");
+        }
+    }
+
+    #[test]
+    fn suite_predictions_sit_above_their_lower_bounds() {
+        use wse_model::lower_bound;
+        let m = machine();
+        for p in [2u32, 3, 8, 64] {
+            let b = 16 * p;
+            let (p64, b64) = (p as u64, b as u64);
+            let line = Topology::line(p);
+            let cases = [
+                (
+                    CollectiveRequest::reduce_scatter(line, b),
+                    lower_bound::t_star_reduce_scatter_1d(p64, b64, &m),
+                ),
+                (
+                    CollectiveRequest::allgather(line, b),
+                    lower_bound::t_star_allgather_1d(p64, b64, &m),
+                ),
+                (CollectiveRequest::gather(line, b), lower_bound::t_star_gather_1d(p64, b64, &m)),
+                (CollectiveRequest::scatter(line, b), lower_bound::t_star_scatter_1d(p64, b64, &m)),
+                (
+                    CollectiveRequest::all_to_all(line, b),
+                    lower_bound::t_star_all_to_all_1d(p64, b64, &m),
+                ),
+            ];
+            for (request, bound) in cases {
+                let predicted = request.predicted_cycles(&m).unwrap();
+                assert!(
+                    predicted > 0.0 && predicted >= bound - 1e-6,
+                    "p={p}: {:?} predicts {predicted} below its bound {bound}",
+                    request.kind
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn broadcast_predictions_cover_both_topologies() {
+        let m = machine();
+        // The flood costs about one message, so its runtime grows with the
+        // flood distance: a 16x16 grid (distance 30) beats a 1x256 line
+        // (distance 255).
+        let line = CollectiveRequest::broadcast(Topology::line(256), 64).predicted_cycles(&m);
+        let grid = CollectiveRequest::broadcast(Topology::grid(16, 16), 64).predicted_cycles(&m);
+        let (line, grid) = (line.unwrap(), grid.unwrap());
+        assert!(grid < line, "grid flood {grid} should undercut line flood {line}");
+        // Degenerate single-PE broadcasts are free, not negative or NaN.
+        for topology in [Topology::line(1), Topology::grid(1, 1)] {
+            let request = CollectiveRequest::broadcast(topology, 64);
+            assert_eq!(request.predicted_cycles(&m).unwrap(), 0.0);
+        }
     }
 
     fn request_for(kind: CollectiveKind, topology: Topology, vector_len: u32) -> CollectiveRequest {
@@ -1076,14 +1063,13 @@ mod tests {
                                     predicted.is_finite() && predicted >= 0.0,
                                     "{request:?} predicted {predicted}"
                                 );
-                                // Auto predictions must equal the choice the
-                                // resolved plan records.
-                                if let Some(from_plan) = resolved.predicted_cycles() {
-                                    assert_eq!(
-                                        predicted, from_plan,
-                                        "plan-free prediction diverges for {request:?}"
-                                    );
-                                }
+                                // Every schedule's prediction must equal the
+                                // price the resolved plan records.
+                                assert_eq!(
+                                    predicted,
+                                    resolved.predicted_cycles(),
+                                    "plan-free prediction diverges for {request:?}"
+                                );
                             }
                             (Err(a), Err(b)) => {
                                 assert_eq!(a, b, "error mismatch for {request:?}")

@@ -23,10 +23,18 @@
 //!   `max_batch_cycles`, so one giant all-to-all does not ride in a batch of
 //!   latency-sensitive reduces.
 //!
-//! Predictions come from [`crate::executor::Executor::cached_plan`] (a warm
-//! plan's recorded model choice) with a fallback to the pure cost model
-//! ([`crate::request::CollectiveRequest::predicted_cycles`]); the submit
-//! path never generates a plan.
+//! Prices are obtained at submit, once per request. A warm request is priced
+//! by the plan cache: [`crate::executor::Executor::cached_plan`] peeks
+//! (no generation, no recency update) and the cached plan carries the price
+//! recorded when it was resolved
+//! ([`crate::request::ResolvedPlan::predicted_cycles`]), explicit schedules
+//! included. A cold request is priced by the pure cost model
+//! ([`crate::request::CollectiveRequest::predicted_cycles`]), which goes
+//! through the same decision step as resolution and so returns the same
+//! number without building a plan. Either way the submit path never
+//! generates a plan; only a cold explicit Auto-Gen request pays for the
+//! Auto-Gen search there. A request that will be rejected at execution
+//! is charged nothing.
 //!
 //! ## Determinism
 //!

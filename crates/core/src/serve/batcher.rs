@@ -9,7 +9,7 @@
 //!   item arrived (tail latency under light load: a lone request is never
 //!   held longer than the batch window).
 //!
-//! Under a cost-aware admission policy ([`Batcher::with_policy`]) the flush
+//! Under a cost-aware admission policy (`Batcher::with_policy`) the flush
 //! is additionally *cost-aware*: items carry the predicted cycles stamped at
 //! admission, the cut can order them shortest-predicted-first
 //! ([`BatchOrder::ShortestPredictedFirst`], stable — arrival order breaks

@@ -132,17 +132,6 @@ impl Default for ServiceConfig {
     }
 }
 
-impl ServiceConfig {
-    /// The same configuration with a different fabric engine (see
-    /// [`crate::runner::RunConfig::with_engine`]). The default
-    /// [`wse_fabric::EngineKind::Fast`] engine is byte-identical to the
-    /// reference cycle-stepper, so this knob changes throughput only.
-    pub fn with_engine(mut self, engine: wse_fabric::EngineKind) -> Self {
-        self.executor = self.executor.with_engine(engine);
-        self
-    }
-}
-
 /// One accepted request travelling from submission to the executor, with
 /// what admission resolved about it.
 #[derive(Debug)]
@@ -152,7 +141,7 @@ struct Pending {
     slot: Arc<ResponseSlot>,
     submitted_at: Instant,
     tenant: TenantId,
-    /// Predicted cycles (warm plan choice, else the pure cost model).
+    /// Predicted cycles (a warm plan's price, else the pure cost model).
     /// `None` when no prediction was computable (malformed request).
     predicted: Option<u64>,
     /// Whether [`CollectiveRequest::check_submission`] accepted the
@@ -258,7 +247,7 @@ impl CollectiveService {
     /// at capacity.
     ///
     /// The request is priced by the cost model before it is queued (a warm
-    /// plan's recorded choice when one is cached, the pure model otherwise —
+    /// plan's recorded price when one is cached, the pure model otherwise —
     /// never a plan generation), and the admission policy applies:
     ///
     /// * priced above `max_predicted_cycles` →
@@ -379,7 +368,7 @@ impl CollectiveService {
         let valid = request.check_submission(&inputs).is_ok();
         let predicted = executor
             .cached_plan(&request)
-            .and_then(|plan| plan.predicted_cycles())
+            .map(|plan| plan.predicted_cycles())
             .or_else(|| request.predicted_cycles(executor.machine()).ok())
             .map(|cycles| cycles.max(0.0).ceil() as u64);
         if let (true, Some(predicted), Some(limit)) =

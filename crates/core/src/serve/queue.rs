@@ -3,9 +3,9 @@
 //! A plain `Mutex<VecDeque>` with two condition variables: `not_empty` wakes
 //! the batcher when work (or shutdown) arrives, `not_full` wakes blocked
 //! submitters when the batcher drains a slot. The bound is the service's
-//! backpressure mechanism — [`SubmissionQueue::try_push`] reports a full
+//! backpressure mechanism — `SubmissionQueue::try_push` reports a full
 //! queue to the caller (surfaced as [`crate::CollectiveError::QueueFull`]),
-//! [`SubmissionQueue::push`] blocks until a slot frees up.
+//! `SubmissionQueue::push` blocks until a slot frees up.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};

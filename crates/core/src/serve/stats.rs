@@ -20,8 +20,8 @@ use super::batcher::FlushReason;
 const LATENCY_WINDOW: usize = 8192;
 
 /// Latency summary over a service's completed requests: percentiles over
-/// the most recent [`LATENCY_WINDOW`] completions (nearest-rank), mean and
-/// max over the whole lifetime.
+/// the most recent 8192 (`LATENCY_WINDOW`) completions (nearest-rank), mean
+/// and max over the whole lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
     /// Completions that contributed a latency sample (lifetime).

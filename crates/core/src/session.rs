@@ -57,15 +57,6 @@ impl Default for SessionConfig {
     }
 }
 
-impl SessionConfig {
-    /// The same configuration with a different fabric engine (see
-    /// [`RunConfig::with_engine`]).
-    pub fn with_engine(mut self, engine: wse_fabric::EngineKind) -> Self {
-        self.run = self.run.with_engine(engine);
-        self
-    }
-}
-
 /// A reusable, sequential executor for collective requests.
 ///
 /// ```

@@ -171,7 +171,7 @@ impl PortQueues {
 
 /// Base tolerance (in cycles) for consecutive no-progress cycles before
 /// declaring a deadlock. The effective tolerance also scales with the grid
-/// semi-perimeter — see [`FabricParams::deadlock_patience`].
+/// semi-perimeter — see `Fabric::idle_tolerance`.
 const DEADLOCK_PATIENCE: u64 = 16;
 
 /// Which engine [`Fabric::run`] uses to advance the fabric.
@@ -198,12 +198,6 @@ pub struct FabricParams {
     pub max_cycles: u64,
     /// Engine used by [`Fabric::run`].
     pub engine: EngineKind,
-    /// Consecutive no-progress cycles (beyond the ramp latency) tolerated
-    /// before declaring a deadlock. `None` picks
-    /// `max(16, grid width + grid height)`: large grids, whose legitimate
-    /// quiet gaps grow with their diameter, cannot trip a false deadlock,
-    /// while small grids keep the historical fixed 16.
-    pub deadlock_patience: Option<u64>,
     /// Percentage (0–100) of PEs that must be unfinished *with instructions
     /// remaining* for [`EngineKind::Fast`] to switch to its lane-batched
     /// dense executor (see the [module docs](self)). The executor exits
@@ -220,7 +214,6 @@ impl Default for FabricParams {
             ramp_latency: 2,
             max_cycles: 200_000_000,
             engine: EngineKind::default(),
-            deadlock_patience: None,
             dense_threshold_pct: None,
         }
     }
@@ -480,11 +473,11 @@ impl Fabric {
 
     /// The no-progress tolerance both engines apply before declaring a
     /// deadlock: wavelets may legitimately sit in a ramp for `T_R` cycles,
-    /// plus the configured (or diameter-scaled) patience on top.
+    /// plus `max(16, grid width + grid height)` on top, so large grids, whose
+    /// legitimate quiet gaps grow with their diameter, cannot trip a false
+    /// deadlock, while small grids keep the historical fixed 16.
     fn idle_tolerance(&self) -> u64 {
-        let patience = self.params.deadlock_patience.unwrap_or_else(|| {
-            DEADLOCK_PATIENCE.max(self.dim.width as u64 + self.dim.height as u64)
-        });
+        let patience = DEADLOCK_PATIENCE.max(self.dim.width as u64 + self.dim.height as u64);
         self.params.ramp_latency + patience
     }
 
@@ -1097,16 +1090,10 @@ mod tests {
     fn default_patience_scales_with_grid_diameter() {
         // Small grids keep the historical fixed patience; grids whose
         // semi-perimeter exceeds it scale up so long quiet gaps on big
-        // fabrics are not misread as deadlocks. An explicit patience wins
-        // over both.
+        // fabrics are not misread as deadlocks.
         let small = Fabric::new(GridDim::row(2), FabricParams::default());
         assert_eq!(small.idle_tolerance(), 2 + 16);
         let large = Fabric::new(GridDim::new(40, 30), FabricParams::default());
         assert_eq!(large.idle_tolerance(), 2 + 70);
-        let pinned = Fabric::new(
-            GridDim::new(40, 30),
-            FabricParams { deadlock_patience: Some(5), ..FabricParams::default() },
-        );
-        assert_eq!(pinned.idle_tolerance(), 2 + 5);
     }
 }

@@ -73,7 +73,4 @@ pub mod sweep;
 pub use autogen::{AutogenSolver, ReductionTree};
 pub use cost::CostTerms;
 pub use machine::Machine;
-pub use selection::{
-    AllReduce1dAlgorithm, BroadcastAlgorithm, Choice, ChosenAlgorithm, Reduce1dAlgorithm,
-    Reduce2dAlgorithm, Suite1dAlgorithm,
-};
+pub use selection::{AllReduce1dAlgorithm, Reduce1dAlgorithm, Reduce2dAlgorithm};

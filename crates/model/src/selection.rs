@@ -219,76 +219,6 @@ impl Reduce2dAlgorithm {
     }
 }
 
-/// The 1D algorithms of the inference collective suite (ReduceScatter,
-/// AllGather, Gather, Scatter, All-to-All). Each kind currently has one
-/// mesh-native candidate, so selection is a single-candidate choice — the
-/// enum still flows through [`Choice`] so the `Schedule::Auto` pipeline,
-/// prediction reporting and plan naming treat the suite exactly like the
-/// contested kinds, and future candidates (e.g. a tree Gather) only extend
-/// the candidate lists here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Suite1dAlgorithm {
-    /// The first half of the Ring AllReduce plus a homing rotation.
-    RingReduceScatter,
-    /// The second half of the Ring AllReduce on its own.
-    RingAllGather,
-    /// The pipelined westward line Gather.
-    LineGather,
-    /// The pipelined eastward line Scatter.
-    LineScatter,
-    /// The store-and-forward ring rotation All-to-All.
-    RotateAllToAll,
-}
-
-impl Suite1dAlgorithm {
-    /// Name as used in plan names and bench output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::RingReduceScatter => "Ring-ReduceScatter",
-            Self::RingAllGather => "Ring-AllGather",
-            Self::LineGather => "Line-Gather",
-            Self::LineScatter => "Line-Scatter",
-            Self::RotateAllToAll => "Rotate-AllToAll",
-        }
-    }
-
-    /// Predicted cycles for `p` PEs and `b` wavelets.
-    pub fn cycles(&self, p: u64, b: u64, machine: &Machine) -> f64 {
-        match self {
-            Self::RingReduceScatter => costs_1d::ring_reduce_scatter(p, b).predict(machine),
-            Self::RingAllGather => costs_1d::ring_allgather(p, b).predict(machine),
-            Self::LineGather => costs_1d::line_gather(p, b).predict(machine),
-            Self::LineScatter => costs_1d::line_scatter(p, b).predict(machine),
-            Self::RotateAllToAll => costs_1d::rotate_all_to_all(p, b).predict(machine),
-        }
-    }
-}
-
-/// The Broadcast algorithms. Broadcast has a single mesh-native candidate
-/// per topology — the flooding broadcast of §4.2/§7.1, which multicast makes
-/// as cheap as one message — so, like [`Suite1dAlgorithm`], selection is a
-/// single-candidate [`Choice`]. The enum exists so *every* collective kind
-/// has a plan-free prediction entry point (`choose_broadcast_*`), which is
-/// what lets a serving front-end price a request on its submit path without
-/// building a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BroadcastAlgorithm {
-    /// The 1D flooding broadcast along a line (§4.2).
-    Flood1d,
-    /// The 2D flooding broadcast over a grid (§7.1).
-    Flood2d,
-}
-
-impl BroadcastAlgorithm {
-    /// Name as used in plan names and bench output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Flood1d => "Flood",
-            Self::Flood2d => "2D Flood",
-        }
-    }
-}
-
 /// Result of a best-algorithm query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Best<A> {
@@ -296,126 +226,6 @@ pub struct Best<A> {
     pub algorithm: A,
     /// Its predicted runtime in cycles.
     pub cycles: f64,
-}
-
-/// The algorithm family a [`Choice`] refers to.
-///
-/// Plan generators (the `Schedule::Auto` path of `wse-collectives`) consume
-/// this structured form instead of parsing algorithm names.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChosenAlgorithm {
-    /// A 1D Reduce algorithm.
-    Reduce1d(Reduce1dAlgorithm),
-    /// A 1D AllReduce algorithm.
-    AllReduce1d(AllReduce1dAlgorithm),
-    /// A 2D Reduce algorithm.
-    Reduce2d(Reduce2dAlgorithm),
-    /// A 2D Reduce algorithm followed by the 2D flooding Broadcast.
-    AllReduce2d(Reduce2dAlgorithm),
-    /// A 1D algorithm of the inference collective suite.
-    Suite1d(Suite1dAlgorithm),
-    /// A flooding Broadcast (1D or 2D).
-    Broadcast(BroadcastAlgorithm),
-}
-
-impl ChosenAlgorithm {
-    /// Name as used in the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Reduce1d(a) => a.name(),
-            Self::AllReduce1d(a) => a.name(),
-            Self::Reduce2d(a) | Self::AllReduce2d(a) => a.name(),
-            Self::Suite1d(a) => a.name(),
-            Self::Broadcast(a) => a.name(),
-        }
-    }
-}
-
-/// A structured model decision: which algorithm to run and the runtime the
-/// model predicts for it. This is the §1.3/§10 "model → select" step as a
-/// value that code generation can consume directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Choice {
-    /// The selected algorithm.
-    pub algorithm: ChosenAlgorithm,
-    /// Predicted runtime in cycles for the selected algorithm.
-    pub predicted_cycles: f64,
-}
-
-/// The model's choice of fixed 1D Reduce algorithm for `(p, b)`.
-pub fn choose_reduce_1d(p: u64, b: u64, machine: &Machine) -> Choice {
-    let best = best_fixed_reduce_1d(p, b, machine);
-    Choice { algorithm: ChosenAlgorithm::Reduce1d(best.algorithm), predicted_cycles: best.cycles }
-}
-
-/// The model's choice of fixed 1D AllReduce algorithm for `(p, b)`.
-pub fn choose_allreduce_1d(p: u64, b: u64, machine: &Machine) -> Choice {
-    let best = best_fixed_allreduce_1d(p, b, machine);
-    Choice {
-        algorithm: ChosenAlgorithm::AllReduce1d(best.algorithm),
-        predicted_cycles: best.cycles,
-    }
-}
-
-/// The model's choice of fixed 2D Reduce algorithm for an `m × n` grid.
-pub fn choose_reduce_2d(m_rows: u64, n_cols: u64, b: u64, machine: &Machine) -> Choice {
-    let best = best_fixed_reduce_2d(m_rows, n_cols, b, machine);
-    Choice { algorithm: ChosenAlgorithm::Reduce2d(best.algorithm), predicted_cycles: best.cycles }
-}
-
-/// The model's choice of fixed 2D AllReduce algorithm for an `m × n` grid.
-pub fn choose_allreduce_2d(m_rows: u64, n_cols: u64, b: u64, machine: &Machine) -> Choice {
-    let best = best_fixed_allreduce_2d(m_rows, n_cols, b, machine);
-    Choice {
-        algorithm: ChosenAlgorithm::AllReduce2d(best.algorithm),
-        predicted_cycles: best.cycles,
-    }
-}
-
-/// The model's choice for a 1D ReduceScatter (single candidate: the ring).
-pub fn choose_reduce_scatter_1d(p: u64, b: u64, machine: &Machine) -> Choice {
-    suite_choice(Suite1dAlgorithm::RingReduceScatter, p, b, machine)
-}
-
-/// The model's choice for a 1D AllGather (single candidate: the ring).
-pub fn choose_allgather_1d(p: u64, b: u64, machine: &Machine) -> Choice {
-    suite_choice(Suite1dAlgorithm::RingAllGather, p, b, machine)
-}
-
-/// The model's choice for a 1D Gather (single candidate: the line stream).
-pub fn choose_gather_1d(p: u64, b: u64, machine: &Machine) -> Choice {
-    suite_choice(Suite1dAlgorithm::LineGather, p, b, machine)
-}
-
-/// The model's choice for a 1D Scatter (single candidate: the line stream).
-pub fn choose_scatter_1d(p: u64, b: u64, machine: &Machine) -> Choice {
-    suite_choice(Suite1dAlgorithm::LineScatter, p, b, machine)
-}
-
-/// The model's choice for a 1D All-to-All (single candidate: the rotation).
-pub fn choose_all_to_all_1d(p: u64, b: u64, machine: &Machine) -> Choice {
-    suite_choice(Suite1dAlgorithm::RotateAllToAll, p, b, machine)
-}
-
-/// The model's choice for a 1D Broadcast (single candidate: the flood).
-pub fn choose_broadcast_1d(p: u64, b: u64, machine: &Machine) -> Choice {
-    Choice {
-        algorithm: ChosenAlgorithm::Broadcast(BroadcastAlgorithm::Flood1d),
-        predicted_cycles: costs_1d::broadcast(p, b).predict(machine),
-    }
-}
-
-/// The model's choice for a 2D Broadcast over an `m × n` grid (single
-/// candidate: the 2D flood).
-pub fn choose_broadcast_2d(m_rows: u64, n_cols: u64, b: u64, machine: &Machine) -> Choice {
-    Choice {
-        algorithm: ChosenAlgorithm::Broadcast(BroadcastAlgorithm::Flood2d),
-        predicted_cycles: costs_2d::broadcast_2d(m_rows, n_cols, b).predict(machine),
-    }
-}
-
-fn suite_choice(alg: Suite1dAlgorithm, p: u64, b: u64, machine: &Machine) -> Choice {
-    Choice { algorithm: ChosenAlgorithm::Suite1d(alg), predicted_cycles: alg.cycles(p, b, machine) }
 }
 
 /// The fixed 1D Reduce algorithm the model predicts to be fastest.
@@ -604,80 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn structured_choices_match_best_queries() {
-        let m = mach();
-        let c = choose_reduce_1d(256, 256, &m);
-        assert!(matches!(c.algorithm, ChosenAlgorithm::Reduce1d(Reduce1dAlgorithm::TwoPhase)));
-        assert_eq!(c.algorithm.name(), "Two-Phase");
-        assert!((c.predicted_cycles - best_fixed_reduce_1d(256, 256, &m).cycles).abs() < 1e-12);
-
-        let c = choose_allreduce_1d(4, 8192, &m);
-        assert!(matches!(c.algorithm, ChosenAlgorithm::AllReduce1d(AllReduce1dAlgorithm::Ring)));
-
-        let c = choose_reduce_2d(4, 4, 4096, &m);
-        assert!(matches!(c.algorithm, ChosenAlgorithm::Reduce2d(Reduce2dAlgorithm::Snake)));
-
-        let c = choose_allreduce_2d(8, 8, 64, &m);
-        assert!(matches!(c.algorithm, ChosenAlgorithm::AllReduce2d(_)));
-        assert!(c.predicted_cycles > 0.0);
-    }
-
-    #[test]
-    fn broadcast_choices_cover_both_topologies() {
-        let m = mach();
-        let c = choose_broadcast_1d(16, 256, &m);
-        assert!(matches!(c.algorithm, ChosenAlgorithm::Broadcast(BroadcastAlgorithm::Flood1d)));
-        assert_eq!(c.algorithm.name(), "Flood");
-        assert!(c.predicted_cycles > 0.0);
-
-        let c2 = choose_broadcast_2d(8, 8, 256, &m);
-        assert!(matches!(c2.algorithm, ChosenAlgorithm::Broadcast(BroadcastAlgorithm::Flood2d)));
-        assert_eq!(c2.algorithm.name(), "2D Flood");
-        // The flood costs about one message, so its runtime grows with the
-        // flood distance: a 16x16 grid (distance 30) beats a 1x256 line
-        // (distance 255).
-        let line = choose_broadcast_1d(256, 64, &m).predicted_cycles;
-        let grid = choose_broadcast_2d(16, 16, 64, &m).predicted_cycles;
-        assert!(grid < line, "grid flood {grid} should undercut line flood {line}");
-
-        // Degenerate single-PE broadcasts are free, not negative or NaN.
-        assert_eq!(choose_broadcast_1d(1, 64, &m).predicted_cycles, 0.0);
-        assert_eq!(choose_broadcast_2d(1, 1, 64, &m).predicted_cycles, 0.0);
-    }
-
-    #[test]
     fn algorithm_names_are_stable() {
         assert_eq!(Reduce1dAlgorithm::TwoPhase.name(), "Two-Phase");
         assert_eq!(AllReduce1dAlgorithm::ChainBcast.name(), "Chain+Bcast");
         assert_eq!(Reduce2dAlgorithm::XyChain.name(), "X-Y Chain");
-        assert_eq!(Suite1dAlgorithm::RingReduceScatter.name(), "Ring-ReduceScatter");
-        assert_eq!(Suite1dAlgorithm::RotateAllToAll.name(), "Rotate-AllToAll");
-    }
-
-    #[test]
-    fn suite_choices_carry_positive_predictions_above_the_bounds() {
-        let m = mach();
-        for p in [2u64, 3, 8, 64] {
-            let b = 16 * p;
-            let cases = [
-                (
-                    choose_reduce_scatter_1d(p, b, &m),
-                    lower_bound::t_star_reduce_scatter_1d(p, b, &m),
-                ),
-                (choose_allgather_1d(p, b, &m), lower_bound::t_star_allgather_1d(p, b, &m)),
-                (choose_gather_1d(p, b, &m), lower_bound::t_star_gather_1d(p, b, &m)),
-                (choose_scatter_1d(p, b, &m), lower_bound::t_star_scatter_1d(p, b, &m)),
-                (choose_all_to_all_1d(p, b, &m), lower_bound::t_star_all_to_all_1d(p, b, &m)),
-            ];
-            for (choice, bound) in cases {
-                assert!(matches!(choice.algorithm, ChosenAlgorithm::Suite1d(_)));
-                assert!(
-                    choice.predicted_cycles >= bound - 1e-6,
-                    "p={p}: {} predicts {} below its bound {bound}",
-                    choice.algorithm.name(),
-                    choice.predicted_cycles
-                );
-            }
-        }
     }
 }

@@ -83,7 +83,7 @@ fn main() {
         "\nmodel recommendation for P={p}, B={} bytes: {} (predicted {:.0} cycles)",
         b * 4,
         resolved.algorithm,
-        resolved.predicted_cycles().unwrap_or_default()
+        resolved.predicted_cycles()
     );
     println!("GEMV result verified against the serial reference on every PE.");
 }

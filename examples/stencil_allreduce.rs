@@ -89,7 +89,7 @@ fn main() {
     println!(
         "\nmodel recommendation for this shape: {} (predicted {:.0} cycles)",
         resolved.algorithm,
-        resolved.predicted_cycles().unwrap_or_default()
+        resolved.predicted_cycles()
     );
     let stats = session.stats();
     println!(

@@ -105,7 +105,8 @@ fn selected_2d_allreduce_is_correct_for_several_shapes() {
     for (side, b) in [(4u32, 64u32), (8, 16), (6, 128)] {
         let request = CollectiveRequest::allreduce(Topology::grid(side, side), b);
         let resolved = session.plan(&request).unwrap();
-        assert!(resolved.choice.is_some(), "auto requests record the model's choice");
+        let price = request.predicted_cycles(session.machine()).unwrap();
+        assert_eq!(resolved.predicted_cycles(), price, "auto requests record the model's price");
         session_run_and_verify(&mut session, &request);
     }
 }

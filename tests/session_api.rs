@@ -83,7 +83,8 @@ fn auto_schedules_cache_the_model_choice() {
     let request = CollectiveRequest::allreduce(Topology::line(32), 256);
     let first = session.plan(&request).expect("auto request resolves");
     let again = session.plan(&request).expect("cached request resolves");
-    assert!(first.choice.is_some(), "auto resolution records the model choice");
+    let price = request.predicted_cycles(session.machine()).unwrap();
+    assert_eq!(first.predicted_cycles(), price, "auto resolution records the model's price");
     assert!(std::sync::Arc::ptr_eq(&first, &again));
     assert_eq!(session.stats().plan_misses, 1);
     assert_eq!(session.stats().plan_hits, 1);
